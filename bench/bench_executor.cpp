@@ -2,9 +2,10 @@
 // toastcase-bench-executor-v1).
 //
 // The mini-XLA has two executors for the same Compiled module: the
-// per-op interpreter (xla/eval.cpp) and the fused-loop executable
-// (xla/compiled.cpp).  This benchmark drives the real JAX kernel ports
-// through both, measuring actual wall-clock time of the value
+// fused-loop executable (xla/compiled.cpp), which every jax slot runs
+// on, and the per-op interpreter (xla/eval.cpp), kept as its oracle and
+// selected with Runtime::set_executor.  This benchmark drives the real
+// JAX kernel ports through both, measuring actual wall-clock time of the value
 // computation — the one place this repository measures host time rather
 // than the virtual clock — and asserting the compiled executor's
 // contract: bitwise-identical products, bitwise-identical TimeLog, and
@@ -161,9 +162,9 @@ struct Workload {
   }
 };
 
-core::ExecContext make_ctx(Backend b, const toast::fault::FaultPlan& plan) {
+core::ExecContext make_ctx(const toast::fault::FaultPlan& plan) {
   core::ExecConfig cfg;
-  cfg.backend = b;
+  cfg.backend = Backend::kJax;
   cfg.fault_plan = plan;
   return core::ExecContext(cfg);
 }
@@ -235,13 +236,14 @@ struct ModeRun {
   double virtual_s = 0.0;    // ctx.elapsed() after all calls
   toast::accel::TimeLog log;
 
-  ModeRun(const Workload& w, Backend backend, int reps,
+  ModeRun(const Workload& w, xla::ExecMode mode, int reps,
           void (*body)(Workload&, core::ExecContext&))
       : workload(w) {
     // Cold caches per mode: both executors pay the same compile charge,
     // so their virtual timelines are comparable end to end.
     jax::clear_jit_caches();
-    auto ctx = make_ctx(backend, {});
+    auto ctx = make_ctx({});
+    ctx.jax().set_executor(mode);  // the interpreter is the oracle switch
     body(workload, ctx);  // warm: trace + compile (+ fused lowering)
     const auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < reps; ++r) {
@@ -269,8 +271,8 @@ struct Row {
 Row measure(const std::string& name, std::int64_t n_samp, int reps,
             void (*body)(Workload&, core::ExecContext&)) {
   const Workload base(n_samp);
-  const ModeRun interp(base, Backend::kJax, reps, body);
-  const ModeRun compiled(base, Backend::kJaxCompiled, reps, body);
+  const ModeRun interp(base, xla::ExecMode::kInterpreted, reps, body);
+  const ModeRun compiled(base, xla::ExecMode::kCompiled, reps, body);
   Row row;
   row.name = name;
   row.n_samp = n_samp;
@@ -308,10 +310,11 @@ ChaosResult run_chaos(const toast::fault::FaultPlan& plan,
     std::map<std::string, double> counters;
     double virtual_s = 0.0;
   };
-  const auto run = [&](Backend backend) {
+  const auto run = [&](xla::ExecMode mode) {
     Outcome o;
     jax::clear_jit_caches();
-    auto ctx = make_ctx(backend, plan);
+    auto ctx = make_ctx(plan);
+    ctx.jax().set_executor(mode);
     try {
       run_scan_map(o.workload, ctx);
     } catch (const toast::fault::PersistentFaultError&) {
@@ -321,8 +324,8 @@ ChaosResult run_chaos(const toast::fault::FaultPlan& plan,
     o.virtual_s = ctx.elapsed();
     return o;
   };
-  const Outcome interp = run(Backend::kJax);
-  const Outcome compiled = run(Backend::kJaxCompiled);
+  const Outcome interp = run(xla::ExecMode::kInterpreted);
+  const Outcome compiled = run(xla::ExecMode::kCompiled);
   ChaosResult r;
   r.plan = plan_name;
   r.both_failed = interp.failed && compiled.failed;

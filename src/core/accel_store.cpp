@@ -19,8 +19,7 @@ constexpr double kJaxUpdateHostFactor = 0.80;
 constexpr double kJaxResetSeconds = 2.0e-6;  // pool swap, no memset
 
 bool jax_like(const ExecContext& ctx) {
-  return ctx.config().backend == Backend::kJax ||
-         ctx.config().backend == Backend::kJaxCompiled;
+  return ctx.config().backend == Backend::kJax;
 }
 
 }  // namespace

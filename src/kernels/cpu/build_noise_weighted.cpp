@@ -3,6 +3,7 @@
 // conflict rate depends on how often concurrent samples hit the same
 // pixel, which we measure from the real pixel stream.
 
+#include "accel/conflicts.hpp"
 #include "kernels/common.hpp"
 #include "kernels/cpu.hpp"
 
@@ -49,7 +50,7 @@ void build_noise_weighted(std::span<const std::int64_t> pixels,
   w.launches = 1.0;
   w.parallel_items = iters;
   w.atomic_ops = dnnz * iters;
-  w.atomic_conflict_rate = estimate_conflict_rate(pixels);
+  w.atomic_conflict_rate = accel::warp_conflicts(pixels, 0).rate();
   w.cpu_vector_eff = 0.30;
   ctx.charge_host_kernel("build_noise_weighted", w);
 }

@@ -16,6 +16,7 @@
 // depending only on the ExecContext configuration - the single-source
 // property the paper highlights.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -89,5 +90,9 @@ void template_offset_apply_diag_precond(const double* offset_var,
 /// with cold JIT caches; the multi-process simulation calls this between
 /// ranks so each rank pays its own compile time, as in the paper).
 void clear_jit_caches();
+
+/// Interpreter fallbacks summed over every kernel's Jit (xla::Jit::
+/// fallbacks): zero when every production module lowers to fused loops.
+std::size_t jit_fallbacks();
 
 }  // namespace toast::kernels::jax

@@ -99,6 +99,14 @@ void clear_jit_caches() {
   }
 }
 
+std::size_t jit_fallbacks() {
+  std::size_t total = 0;
+  for (const auto& [name, jit] : jit_registry()) {
+    total += jit->fallbacks();
+  }
+  return total;
+}
+
 xla::Literal lit_f64(const double* data, std::int64_t n) {
   return xla::Literal::from_f64(xla::Shape{n},
                                 std::span<const double>(data, static_cast<std::size_t>(n)));

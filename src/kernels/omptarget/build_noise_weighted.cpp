@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "accel/conflicts.hpp"
 #include "kernels/common.hpp"
 #include "kernels/omptarget.hpp"
 
@@ -57,9 +58,10 @@ void build_noise_weighted(const std::int64_t* pixels, const double* weights,
     cost.bytes_read = 17.0 + 8.0 * dnnz;
     cost.bytes_written = 8.0 * dnnz;
     cost.atomic_ops = dnnz;
-    cost.atomic_conflict_rate = estimate_conflict_rate(
+    cost.atomic_conflict_rate = accel::warp_conflicts(
         std::span<const std::int64_t>(pixels,
-                                      static_cast<std::size_t>(n_det * n_samp)));
+                                      static_cast<std::size_t>(n_det * n_samp)),
+        0).rate();
     ctx.omp().target_for_collapse3(
         "build_noise_weighted", n_det, n_view, max_len, cost,
         [&](std::int64_t det, std::int64_t view, std::int64_t i) {
@@ -97,9 +99,10 @@ void build_noise_weighted(const std::int64_t* pixels, const double* weights,
   w.launches = 1.0;
   w.parallel_items = iters;
   w.atomic_ops = dnnz * iters;
-  w.atomic_conflict_rate = estimate_conflict_rate(
+  w.atomic_conflict_rate = accel::warp_conflicts(
       std::span<const std::int64_t>(pixels,
-                                    static_cast<std::size_t>(n_det * n_samp)));
+                                    static_cast<std::size_t>(n_det * n_samp)),
+      0).rate();
   w.cpu_vector_eff = 0.30;
   ctx.charge_host_kernel("build_noise_weighted", w);
 }

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <set>
 #include <stdexcept>
-#include <unordered_set>
 
+#include "accel/conflicts.hpp"
 #include "xla/eval.hpp"
 
 namespace toast::xla {
@@ -21,87 +20,51 @@ double literal_bytes(const HloInstruction& in) {
          static_cast<double>(dtype_size(in.dtype));
 }
 
-}  // namespace
-
-Compiled compile(HloModule module) {
-  {
-    const auto problems = verify(module);
-    if (!problems.empty()) {
-      throw std::logic_error("xla: invalid module: " + problems.front());
-    }
-  }
-  Compiled c;
-  c.module = optimize(std::move(module), &c.pass_stats);
-  c.group_of = assign_fusion_groups(c.module);
-  int max_group = -1;
-  for (const auto g : c.group_of) {
-    max_group = std::max(max_group, g);
-  }
-  c.n_groups = max_group + 1;
-  c.compile_seconds =
-      kCompileBaseSeconds +
-      kCompilePerInstructionSeconds * static_cast<double>(c.module.size());
-  return c;
-}
-
-namespace detail {
-
-void validate_args(const HloModule& m, std::span<const Literal> args) {
-  if (args.size() != m.params.size()) {
-    throw std::invalid_argument("xla: argument count mismatch");
-  }
-  for (std::size_t p = 0; p < m.params.size(); ++p) {
-    const auto& param = m.at(m.params[p]);
-    if (args[p].shape() != param.shape || args[p].dtype() != param.dtype) {
-      throw std::invalid_argument("xla: argument " + std::to_string(p) +
-                                  " shape/dtype mismatch");
-    }
-  }
-}
-
-ExecutionReport build_report(const Compiled& compiled,
-                             const ScatterIdxFn& scatter_idx) {
-  const HloModule& m = compiled.module;
-
-  ExecutionReport local;
-  local.group_work.assign(static_cast<std::size_t>(compiled.n_groups), {});
-  local.group_heavy.assign(static_cast<std::size_t>(compiled.n_groups),
-                           false);
+/// The shape-static part of the ExecutionReport: everything but the
+/// scatter-add terms, which depend on the executed indices.  Fills
+/// c.static_report and c.scatter_adds.
+void build_static_report(Compiled& c) {
+  const HloModule& m = c.module;
+  const auto n_groups = static_cast<std::size_t>(c.n_groups);
+  ExecutionReport& local = c.static_report;
+  local.group_work.assign(n_groups, {});
+  local.group_heavy.assign(n_groups, false);
   for (auto& w : local.group_work) {
     w.launches = 0.0;  // set to 1 when the group turns out non-empty
   }
 
-  // Consumer map: which groups read instruction i, and is it a root.
+  // Which instructions escape their group (read by another group), and
+  // which groups each group reads from.
   const std::size_t n = m.size();
-  std::vector<std::set<int>> consumer_groups(n);
-  std::vector<std::set<int>> producer_groups(
-      static_cast<std::size_t>(compiled.n_groups));
+  std::vector<char> escapes(n, 0);
+  std::vector<std::set<int>> producer_groups(n_groups);
   for (std::size_t i = 0; i < n; ++i) {
-    const int g = compiled.group_of[i];
+    const int g = c.group_of[i];
     for (const auto op : m.instructions[i].operands) {
-      const int og = compiled.group_of[static_cast<std::size_t>(op)];
+      const int og = c.group_of[static_cast<std::size_t>(op)];
       if (og != g) {
-        consumer_groups[static_cast<std::size_t>(op)].insert(g);
+        escapes[static_cast<std::size_t>(op)] = 1;
         if (g >= 0 && og >= 0) {
           producer_groups[static_cast<std::size_t>(g)].insert(og);
         }
       }
     }
   }
-  local.group_deps.resize(static_cast<std::size_t>(compiled.n_groups));
-  for (std::size_t g = 0; g < producer_groups.size(); ++g) {
+  for (const auto r : m.roots) {
+    escapes[static_cast<std::size_t>(r)] = 1;
+  }
+  local.group_deps.resize(n_groups);
+  for (std::size_t g = 0; g < n_groups; ++g) {
     local.group_deps[g].assign(producer_groups[g].begin(),
                                producer_groups[g].end());
   }
-  std::unordered_set<InstrId> root_set(m.roots.begin(), m.roots.end());
 
-  std::vector<int> group_instr_count(
-      static_cast<std::size_t>(compiled.n_groups), 0);
+  std::vector<int> group_instr_count(n_groups, 0);
   std::size_t temp_bytes = 0;
 
   for (std::size_t i = 0; i < n; ++i) {
     const HloInstruction& in = m.instructions[i];
-    const int g = compiled.group_of[i];
+    const int g = c.group_of[i];
 
     if (in.opcode == Opcode::kParam) {
       continue;
@@ -140,65 +103,15 @@ ExecutionReport build_report(const Compiled& compiled,
             m.at(in.operands[1]).shape.num_elements());
         work.flops += 2.0 * updates;
         work.parallel_items = std::max(work.parallel_items, updates);
-        // Lowering decision from the data, scatter-add only: sorted valid
-        // indices -> segmented reduction (no atomics); unsorted ->
-        // atomics with the measured conflict rate.  scatter-set never
-        // needs atomics (plain stores).
-        const auto span = scatter_idx(static_cast<InstrId>(i));
-        const std::int64_t scatter_base_n =
-            m.at(in.operands[0]).shape.num_elements();
-        bool sorted = true;
-        double unique_targets = 0.0;
-        std::int64_t prev = std::numeric_limits<std::int64_t>::min();
-        for (const auto j : span) {
-          if (j < 0 || j >= scatter_base_n) continue;  // dropped lanes
-          if (j < prev) {
-            sorted = false;
-            break;
-          }
-          if (j != prev) unique_targets += 1.0;
-          prev = j;
-        }
-        bool segment_reduce = false;
         if (in.opcode == Opcode::kScatterSet) {
-          // Plain stores; covered by the write-traffic accounting below.
-        } else if (sorted && span.size() > 1) {
-          local.segment_lowering_used = true;
-          segment_reduce = true;
+          // Plain stores, one per update: XLA buffer assignment updates
+          // the base in place (the operand is dead after this op in our
+          // kernels), so only the touched elements are written.
+          work.bytes_written +=
+              updates * static_cast<double>(dtype_size(in.dtype));
         } else {
-          // Conflict probability measured over warp-sized windows of the
-          // actual update stream.
-          constexpr std::size_t kWarp = 32;
-          std::map<std::int64_t, int> hist;
-          const std::int64_t base_n = scatter_base_n;
-          double valid = 0.0;
-          double conflicts = 0.0;
-          for (std::size_t w0 = 0; w0 < span.size(); w0 += kWarp) {
-            hist.clear();
-            const std::size_t w1 = std::min(span.size(), w0 + kWarp);
-            for (std::size_t k = w0; k < w1; ++k) {
-              const auto j = span[k];
-              if (j < 0 || j >= base_n) continue;
-              valid += 1.0;
-              if (++hist[j] > 1) conflicts += 1.0;
-            }
-          }
-          const double prior_atomics = work.atomic_ops;
-          const double rate = valid > 0.0 ? conflicts / valid : 0.0;
-          work.atomic_conflict_rate =
-              (work.atomic_conflict_rate * prior_atomics + rate * valid) /
-              std::max(1.0, prior_atomics + valid);
-          work.atomic_ops += valid;
+          c.scatter_adds.push_back(static_cast<InstrId>(i));
         }
-        // XLA buffer assignment updates the base in place (the operand is
-        // dead after this op in our kernels): only the touched elements
-        // are stored, not the whole buffer.  A segmented reduction stores
-        // one value per *unique* target (the linear-algebra lowering of
-        // the paper's offset_project anomaly); plain scatters store one
-        // per update.
-        work.bytes_written +=
-            (segment_reduce ? unique_targets : updates) *
-            static_cast<double>(dtype_size(in.dtype));
         break;
       }
       case Opcode::kGather:
@@ -220,13 +133,13 @@ ExecutionReport build_report(const Compiled& compiled,
         continue;
       }
       const auto op = in.operands[k];
-      const int og = compiled.group_of[static_cast<std::size_t>(op)];
+      const int og = c.group_of[static_cast<std::size_t>(op)];
       if (og != g) {
         work.bytes_read += literal_bytes(m.at(op));
       }
     }
     // Output traffic: values consumed by other groups or returned.
-    if (!consumer_groups[i].empty() || root_set.count(static_cast<InstrId>(i))) {
+    if (escapes[i] != 0) {
       work.bytes_written += literal_bytes(in);
     }
   }
@@ -237,7 +150,7 @@ ExecutionReport build_report(const Compiled& compiled,
   // once a fusion group exceeds what fits in the register file.
   constexpr double kRegisterComfortInstrs = 48.0;
   constexpr double kMaxRegisterPenalty = 3.0;
-  for (std::size_t g = 0; g < local.group_work.size(); ++g) {
+  for (std::size_t g = 0; g < n_groups; ++g) {
     const double pressure =
         static_cast<double>(group_instr_count[g]) / kRegisterComfortInstrs;
     if (pressure > 1.0) {
@@ -245,7 +158,94 @@ ExecutionReport build_report(const Compiled& compiled,
           std::min(kMaxRegisterPenalty, pressure);
     }
   }
+}
 
+}  // namespace
+
+Compiled compile(HloModule module) {
+  {
+    const auto problems = verify(module);
+    if (!problems.empty()) {
+      throw std::logic_error("xla: invalid module: " + problems.front());
+    }
+  }
+  Compiled c;
+  c.module = optimize(std::move(module), &c.pass_stats);
+  c.group_of = assign_fusion_groups(c.module);
+  int max_group = -1;
+  for (const auto g : c.group_of) {
+    max_group = std::max(max_group, g);
+  }
+  c.n_groups = max_group + 1;
+  c.compile_seconds =
+      kCompileBaseSeconds +
+      kCompilePerInstructionSeconds * static_cast<double>(c.module.size());
+  build_static_report(c);
+  return c;
+}
+
+namespace detail {
+
+void validate_args(const HloModule& m, std::span<const Literal> args) {
+  if (args.size() != m.params.size()) {
+    throw std::invalid_argument("xla: argument count mismatch");
+  }
+  for (std::size_t p = 0; p < m.params.size(); ++p) {
+    const auto& param = m.at(m.params[p]);
+    if (args[p].shape() != param.shape || args[p].dtype() != param.dtype) {
+      throw std::invalid_argument("xla: argument " + std::to_string(p) +
+                                  " shape/dtype mismatch");
+    }
+  }
+}
+
+ExecutionReport build_report(const Compiled& compiled,
+                             const ScatterIdxFn& scatter_idx) {
+  const HloModule& m = compiled.module;
+  ExecutionReport local = compiled.static_report;
+  for (const InstrId id : compiled.scatter_adds) {
+    const HloInstruction& in = m.at(id);
+    auto& work = local.group_work[static_cast<std::size_t>(
+        compiled.group_of[static_cast<std::size_t>(id)])];
+    const std::int64_t base_n = m.at(in.operands[0]).shape.num_elements();
+    const double elem_bytes = static_cast<double>(dtype_size(in.dtype));
+    // Lowering decision from the data: sorted valid indices -> segmented
+    // reduction (no atomics); unsorted -> atomics with the measured
+    // conflict rate.
+    const auto span = scatter_idx(id);
+    bool sorted = true;
+    double unique_targets = 0.0;
+    std::int64_t prev = std::numeric_limits<std::int64_t>::min();
+    for (const auto j : span) {
+      if (j < 0 || j >= base_n) continue;  // dropped lanes
+      if (j < prev) {
+        sorted = false;
+        break;
+      }
+      if (j != prev) unique_targets += 1.0;
+      prev = j;
+    }
+    if (sorted && span.size() > 1) {
+      // A segmented reduction stores one value per *unique* target (the
+      // linear-algebra lowering of the paper's offset_project anomaly).
+      local.segment_lowering_used = true;
+      work.bytes_written += unique_targets * elem_bytes;
+      continue;
+    }
+    // Conflict probability measured over warp-sized windows of the
+    // actual update stream; atomics store one value per update.
+    const accel::WarpConflicts counts = accel::warp_conflicts(span, 0, base_n);
+    const double valid = static_cast<double>(counts.valid);
+    const double prior_atomics = work.atomic_ops;
+    const double rate = counts.rate();
+    work.atomic_conflict_rate =
+        (work.atomic_conflict_rate * prior_atomics + rate * valid) /
+        std::max(1.0, prior_atomics + valid);
+    work.atomic_ops += valid;
+    work.bytes_written +=
+        static_cast<double>(m.at(in.operands[1]).shape.num_elements()) *
+        elem_bytes;
+  }
   for (const auto& w : local.group_work) {
     local.total += w;
   }

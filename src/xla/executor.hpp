@@ -32,20 +32,6 @@ enum class ExecMode {
 
 class FusedExecutable;
 
-struct Compiled {
-  HloModule module;
-  std::vector<int> group_of;  // fusion group per instruction, -1 = memory
-  int n_groups = 0;
-  PassStats pass_stats;
-  /// Modelled XLA compile time (charged once per cache entry).
-  double compile_seconds = 0.0;
-  /// Lazily-built fused-loop executable (execute_compiled's cache; the
-  /// lowering runs once per Compiled, on first compiled execution).
-  mutable std::shared_ptr<const FusedExecutable> fused;
-};
-
-Compiled compile(HloModule module);
-
 struct ExecutionReport {
   std::vector<accel::WorkEstimate> group_work;
   /// Whether each group contains a heavy op (reduce/dot/gather/scatter);
@@ -61,6 +47,28 @@ struct ExecutionReport {
   /// Bytes of intermediate buffers held at the peak of execution.
   std::size_t peak_temp_bytes = 0;
 };
+
+struct Compiled {
+  HloModule module;
+  std::vector<int> group_of;  // fusion group per instruction, -1 = memory
+  int n_groups = 0;
+  PassStats pass_stats;
+  /// Modelled XLA compile time (charged once per cache entry).
+  double compile_seconds = 0.0;
+  /// The shape-static part of every ExecutionReport of this module,
+  /// built once by compile(): group work without the scatter-add terms,
+  /// heavy flags, group deps and peak temp bytes (`total` is left empty).
+  ExecutionReport static_report;
+  /// Fused scatter-adds in instruction order: their lowering (segmented
+  /// reduction vs atomics) is decided from the executed indices, so
+  /// build_report adds their terms per call.
+  std::vector<InstrId> scatter_adds;
+  /// Lazily-built fused-loop executable (execute_compiled's cache; the
+  /// lowering runs once per Compiled, on first compiled execution).
+  mutable std::shared_ptr<const FusedExecutable> fused;
+};
+
+Compiled compile(HloModule module);
 
 /// Evaluate the compiled module.  `args` must match module params.
 std::vector<Literal> execute(const Compiled& compiled,
@@ -85,14 +93,18 @@ void validate_args(const HloModule& m, std::span<const Literal> args);
 /// Returns the executed index stream of a scatter instruction (the value
 /// of its operands[1]).  The only data dependence of the metering model:
 /// everything else in the report derives from shapes and the group
-/// assignment, but the scatter lowering decision (segmented reduction vs
-/// atomics, and the conflict rate) is taken from the actual indices.
+/// assignment (Compiled::static_report), but the scatter-add lowering
+/// decision (segmented reduction vs atomics, and the conflict rate) is
+/// taken from the actual indices.
 using ScatterIdxFn =
     std::function<std::span<const std::int64_t>(InstrId scatter)>;
 
-/// Build the full ExecutionReport for a module.  Both executors call
-/// this with their own ScatterIdxFn, which is what makes the reports —
-/// and hence the modelled TimeLog — bitwise identical across modes.
+/// Build the full ExecutionReport for a module: the static report plus
+/// the scatter-add terms.  Both executors call this with their own
+/// ScatterIdxFn, which is what makes the reports — and hence the
+/// modelled TimeLog — bitwise identical across modes.  Every flop and
+/// byte term is an integer-valued double below 2^53, so adding the
+/// scatter bytes after the static sums is exact.
 ExecutionReport build_report(const Compiled& compiled,
                              const ScatterIdxFn& scatter_idx);
 

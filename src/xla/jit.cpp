@@ -119,9 +119,9 @@ std::vector<Literal> Jit::call_reported(Runtime& rt,
     } catch (const LoweringError&) {
       // The interpreter is both the oracle and the fallback: a module
       // the fused lowering rejects still executes, one op at a time.
-      if (rt.faults() != nullptr) {
-        rt.faults()->add_count("xla_compiled_fallback");
-      }
+      // Counted on the Jit only: a host execution choice must not move
+      // the fault counters a job reports.
+      ++fallbacks_;
       outputs = execute(compiled, args, &report);
     }
   } else {

@@ -46,10 +46,12 @@ class Runtime {
   void set_fault_injector(fault::FaultInjector* f) { faults_ = f; }
   fault::FaultInjector* faults() { return faults_; }
 
-  /// Which executor jitted calls use for value computation.  Compiled
-  /// mode lowers each fusion group to a fused loop (bitwise-identical
-  /// products and TimeLog — the interpreter is the oracle); a module the
-  /// lowering rejects falls back to the interpreter per call.
+  /// Which executor jitted calls use for value computation.  The
+  /// default, compiled mode, lowers each fusion group to a fused loop; a
+  /// module the lowering rejects falls back to the interpreter per call.
+  /// kInterpreted is the oracle switch: it yields bitwise-identical
+  /// products and TimeLog, so it is not a modelled backend or a schedule
+  /// axis.
   ExecMode executor() const { return exec_mode_; }
   void set_executor(ExecMode m) { exec_mode_ = m; }
 
@@ -101,7 +103,7 @@ class Runtime {
   accel::VirtualClock& clock_;
   obs::Tracer& tracer_;
   fault::FaultInjector* faults_ = nullptr;
-  ExecMode exec_mode_ = ExecMode::kInterpreted;
+  ExecMode exec_mode_ = ExecMode::kCompiled;
   double dispatch_overhead_ = 1.5e-5;
   double work_scale_ = 1.0;
   int n_streams_ = 1;
@@ -140,6 +142,11 @@ class Jit {
   const std::string& name() const { return name_; }
   std::size_t cache_size() const { return cache_.size(); }
 
+  /// Compiled-mode calls whose module the fused lowering rejected, so
+  /// they ran on the interpreter.  A host-side statistic: it never
+  /// reaches fault counters, traces or any other modelled output.
+  std::size_t fallbacks() const { return fallbacks_; }
+
   /// Drop all compiled executables (a fresh process has an empty JIT
   /// cache; the multi-process simulation resets between ranks).
   void clear_cache() { cache_.clear(); }
@@ -160,6 +167,7 @@ class Jit {
   TracedFn fn_;
   std::vector<int> donated_;
   std::map<std::string, std::unique_ptr<Compiled>> cache_;
+  std::size_t fallbacks_ = 0;
 };
 
 }  // namespace toast::xla

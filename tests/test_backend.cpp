@@ -1,7 +1,7 @@
 // Tests for the backend manifest and the per-kernel OpRegistry: tag
-// slots, enum mapping, base-chain inheritance (jax-cpu / jax-compiled
-// fall back to the jax registration), structured dispatch failure, and
-// the scoped executor flip for jax-compiled dispatches.
+// slots, enum mapping, base-chain inheritance (jax-cpu falls back to the
+// jax registration), structured dispatch failure, and the xla executor
+// mode every jax-slot context starts in (dispatch never changes it).
 
 #include "backend/manifest.hpp"
 #include "backend/registry.hpp"
@@ -30,12 +30,11 @@ core::ExecContext make_ctx(Backend b = Backend::kCpu) {
 }  // namespace
 
 TEST(BackendManifest, TagSlotsAreStableAndComplete) {
-  EXPECT_EQ(backend::backend_count, 5u);
+  EXPECT_EQ(backend::backend_count, 4u);
   EXPECT_EQ(backend::backend_index<backend::cpu_tag>(), 0u);
   EXPECT_EQ(backend::backend_index<backend::omptarget_tag>(), 1u);
   EXPECT_EQ(backend::backend_index<backend::jax_tag>(), 2u);
   EXPECT_EQ(backend::backend_index<backend::jax_cpu_tag>(), 3u);
-  EXPECT_EQ(backend::backend_index<backend::jax_compiled_tag>(), 4u);
 }
 
 TEST(BackendManifest, EnumMapsToTagSlots) {
@@ -47,8 +46,6 @@ TEST(BackendManifest, EnumMapsToTagSlots) {
             backend::backend_index<backend::jax_tag>());
   EXPECT_EQ(backend::index_of(Backend::kJaxCpu),
             backend::backend_index<backend::jax_cpu_tag>());
-  EXPECT_EQ(backend::index_of(Backend::kJaxCompiled),
-            backend::backend_index<backend::jax_compiled_tag>());
 }
 
 TEST(BackendManifest, NamesFollowTheTuple) {
@@ -56,7 +53,6 @@ TEST(BackendManifest, NamesFollowTheTuple) {
   EXPECT_STREQ(backend::name_of(1), "omp-target");
   EXPECT_STREQ(backend::name_of(2), "jax");
   EXPECT_STREQ(backend::name_of(3), "jax-cpu");
-  EXPECT_STREQ(backend::name_of(4), "jax-compiled");
   EXPECT_STREQ(backend::name_of(backend::npos), "unknown");
 }
 
@@ -69,20 +65,16 @@ TEST(BackendManifest, BaseChainLinksJaxVariantsToJax) {
   EXPECT_EQ(
       backend::base_index(backend::backend_index<backend::jax_cpu_tag>()),
       jax);
-  EXPECT_EQ(
-      backend::base_index(
-          backend::backend_index<backend::jax_compiled_tag>()),
-      jax);
 }
 
 TEST(BackendManifest, WithBackendVisitsTheMatchingTag) {
   std::string seen;
   const bool called =
-      backend::with_backend(Backend::kJaxCompiled, [&](auto tag) {
+      backend::with_backend(Backend::kJaxCpu, [&](auto tag) {
         seen = decltype(tag)::name;
       });
   EXPECT_TRUE(called);
-  EXPECT_EQ(seen, "jax-compiled");
+  EXPECT_EQ(seen, "jax-cpu");
 }
 
 TEST(BackendRegistry, DispatchSelectsTheRegisteredTag) {
@@ -111,12 +103,10 @@ TEST(BackendRegistry, JaxVariantsInheritTheJaxRegistration) {
       [&](const ToyArgs&, core::ExecContext&) { ++jax_calls; });
   EXPECT_TRUE(reg.has(Backend::kJax));
   EXPECT_TRUE(reg.has(Backend::kJaxCpu));
-  EXPECT_TRUE(reg.has(Backend::kJaxCompiled));
   EXPECT_FALSE(reg.has(Backend::kCpu));
   reg.invoke(Backend::kJax, {}, ctx);
   reg.invoke(Backend::kJaxCpu, {}, ctx);
-  reg.invoke(Backend::kJaxCompiled, {}, ctx);
-  EXPECT_EQ(jax_calls, 3);
+  EXPECT_EQ(jax_calls, 2);
 }
 
 TEST(BackendRegistry, SpecializationShadowsTheBase) {
@@ -129,8 +119,8 @@ TEST(BackendRegistry, SpecializationShadowsTheBase) {
       [&](const ToyArgs&, core::ExecContext&) { hit = "jax-cpu"; });
   reg.invoke(Backend::kJaxCpu, {}, ctx);
   EXPECT_EQ(hit, "jax-cpu");
-  // The sibling still resolves through the base.
-  reg.invoke(Backend::kJaxCompiled, {}, ctx);
+  // The base still serves its own slot.
+  reg.invoke(Backend::kJax, {}, ctx);
   EXPECT_EQ(hit, "jax");
 }
 
@@ -153,46 +143,38 @@ TEST(BackendRegistry, EmptyRegistryRejectsEverything) {
   auto ctx = make_ctx();
   const backend::OpRegistry<ToyArgs> reg("empty");
   for (const Backend b :
-       {Backend::kCpu, Backend::kOmpTarget, Backend::kJax, Backend::kJaxCpu,
-        Backend::kJaxCompiled}) {
+       {Backend::kCpu, Backend::kOmpTarget, Backend::kJax, Backend::kJaxCpu}) {
     EXPECT_FALSE(reg.has(b));
     EXPECT_THROW(reg.invoke(b, {}, ctx), backend::UnknownKernelError);
   }
 }
 
 TEST(BackendRegistry, CompiledDefaultContextStartsInCompiledMode) {
-  auto ctx = make_ctx(Backend::kJaxCompiled);
-  EXPECT_EQ(ctx.jax().executor(), toast::xla::ExecMode::kCompiled);
-  EXPECT_EQ(make_ctx(Backend::kJax).jax().executor(),
-            toast::xla::ExecMode::kInterpreted);
+  // The fused-loop executor is the production path for every slot; the
+  // interpreter is only the oracle a caller opts into.
+  for (const Backend b :
+       {Backend::kCpu, Backend::kOmpTarget, Backend::kJax, Backend::kJaxCpu}) {
+    EXPECT_EQ(make_ctx(b).jax().executor(), toast::xla::ExecMode::kCompiled)
+        << core::to_string(b);
+  }
 }
 
-TEST(BackendRegistry, JaxCompiledDispatchFlipsTheExecutor) {
-  auto ctx = make_ctx();
-  ASSERT_EQ(ctx.jax().executor(), toast::xla::ExecMode::kInterpreted);
-  backend::OpRegistry<ToyArgs> reg("toy");
-  std::vector<toast::xla::ExecMode> seen;
-  reg.add<backend::jax_tag>([&](const ToyArgs&, core::ExecContext& c) {
-    seen.push_back(c.jax().executor());
-  });
-  reg.invoke(Backend::kJax, {}, ctx);
-  reg.invoke(Backend::kJaxCompiled, {}, ctx);
-  reg.invoke(Backend::kJaxCpu, {}, ctx);
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], toast::xla::ExecMode::kInterpreted);
-  EXPECT_EQ(seen[1], toast::xla::ExecMode::kCompiled);
-  EXPECT_EQ(seen[2], toast::xla::ExecMode::kInterpreted);
-  // The flip is scoped to the dispatch: the context mode is restored.
-  EXPECT_EQ(ctx.jax().executor(), toast::xla::ExecMode::kInterpreted);
-}
-
-TEST(BackendRegistry, ScopedExecutorRestoresOnThrow) {
-  auto ctx = make_ctx();
-  backend::OpRegistry<ToyArgs> reg("boom");
-  reg.add<backend::jax_tag>([](const ToyArgs&, core::ExecContext&) {
-    throw std::runtime_error("kernel failed");
-  });
-  EXPECT_THROW(reg.invoke(Backend::kJaxCompiled, {}, ctx),
-               std::runtime_error);
-  EXPECT_EQ(ctx.jax().executor(), toast::xla::ExecMode::kInterpreted);
+TEST(BackendRegistry, DispatchKeepsTheContextExecutor) {
+  // Dispatch is a plain slot call: the oracle switch set on the context
+  // holds through jax and jax-cpu dispatches alike.
+  for (const auto mode :
+       {toast::xla::ExecMode::kInterpreted, toast::xla::ExecMode::kCompiled}) {
+    auto ctx = make_ctx(Backend::kJax);
+    ctx.jax().set_executor(mode);
+    backend::OpRegistry<ToyArgs> reg("toy");
+    std::vector<toast::xla::ExecMode> seen;
+    reg.add<backend::jax_tag>([&](const ToyArgs&, core::ExecContext& c) {
+      seen.push_back(c.jax().executor());
+    });
+    reg.invoke(Backend::kJax, {}, ctx);
+    reg.invoke(Backend::kJaxCpu, {}, ctx);
+    EXPECT_EQ(seen,
+              (std::vector<toast::xla::ExecMode>{mode, mode}));
+    EXPECT_EQ(ctx.jax().executor(), mode);
+  }
 }

@@ -175,10 +175,24 @@ TEST(ScheduleConfig, RejectsInvalidValues) {
               "solver": {"async_comm": "async"}})");
 }
 
+TEST(ScheduleConfig, RejectsExecutorStrategyAsBackendSlot) {
+  // The fused-loop executor is how every jax slot runs on the host, not a
+  // modelled backend: naming it as a slot is a structured parse error.
+  try {
+    ScheduleConfig::parse(
+        R"({"schema": "toastcase-schedule-v1", "backend": "jax-compiled"})");
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown backend slot"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ScheduleConfig, BackendSlotRoundTripsThroughManifest) {
   using toast::core::Backend;
   for (const Backend b : {Backend::kCpu, Backend::kOmpTarget, Backend::kJax,
-                          Backend::kJaxCpu, Backend::kJaxCompiled}) {
+                          Backend::kJaxCpu}) {
     ScheduleConfig c;
     c.set_backend(b);
     EXPECT_EQ(c.backend_id(), b);

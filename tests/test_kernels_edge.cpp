@@ -7,6 +7,7 @@
 #include <random>
 #include <vector>
 
+#include "accel/conflicts.hpp"
 #include "kernels/common.hpp"
 #include "kernels/cpu.hpp"
 #include "kernels/jax.hpp"
@@ -254,19 +255,30 @@ TEST(KernelEdge, IntervalCoveringEverything) {
 }
 
 TEST(KernelEdge, ConflictRateHelper) {
-  using toast::kernels::estimate_conflict_rate;
+  using toast::accel::warp_conflicts;
   // Distinct indices in each window: no conflicts.
   std::vector<std::int64_t> distinct(64);
   for (std::size_t i = 0; i < distinct.size(); ++i) {
     distinct[i] = static_cast<std::int64_t>(i);
   }
-  EXPECT_DOUBLE_EQ(estimate_conflict_rate(distinct), 0.0);
+  EXPECT_DOUBLE_EQ(warp_conflicts(distinct, 0).rate(), 0.0);
   // Identical indices: (window-1)/window conflicts.
   std::vector<std::int64_t> same(64, 7);
-  EXPECT_NEAR(estimate_conflict_rate(same), 31.0 / 32.0, 1e-12);
+  const auto s = warp_conflicts(same, 0);
+  EXPECT_EQ(s.valid, 64);
+  EXPECT_EQ(s.conflicts, 62);
+  EXPECT_NEAR(s.rate(), 31.0 / 32.0, 1e-12);
   // Negative (flagged) entries are ignored.
   std::vector<std::int64_t> flagged(64, -1);
-  EXPECT_DOUBLE_EQ(estimate_conflict_rate(flagged), 0.0);
+  EXPECT_DOUBLE_EQ(warp_conflicts(flagged, 0).rate(), 0.0);
   const std::vector<std::int64_t> empty;
-  EXPECT_DOUBLE_EQ(estimate_conflict_rate(empty), 0.0);
+  EXPECT_DOUBLE_EQ(warp_conflicts(empty, 0).rate(), 0.0);
+  // Out-of-range targets still occupy their window position: the
+  // repeat of 3 in the second window does not conflict with the first.
+  std::vector<std::int64_t> ranged(40, 9);
+  ranged[0] = 3;
+  ranged[35] = 3;
+  const auto r = warp_conflicts(ranged, 0, 5);
+  EXPECT_EQ(r.valid, 2);
+  EXPECT_EQ(r.conflicts, 0);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/pipeline.hpp"
 #include "kernels/jax.hpp"
@@ -52,6 +53,29 @@ core::Data run_workflow(Backend b,
   return data;
 }
 
+/// One benchmark-pipeline run on an explicit xla executor mode: the
+/// products plus every modelled-time output.
+struct ExecutorRun {
+  core::Data data;
+  toast::accel::TimeLog log;
+  double elapsed = 0.0;
+};
+
+ExecutorRun run_workflow_on(Backend b, toast::xla::ExecMode mode) {
+  ExecutorRun run{make_data(), {}, 0.0};
+  auto ctx = make_ctx(b);
+  ctx.jax().set_executor(mode);
+  toast::kernels::jax::clear_jit_caches();
+  sim::WorkflowConfig wf;
+  wf.nside = 32;
+  wf.map_iterations = 2;
+  auto pipeline = sim::make_benchmark_pipeline(wf);
+  pipeline.exec(run.data, ctx);
+  run.log = ctx.log();
+  run.elapsed = ctx.elapsed();
+  return run;
+}
+
 void expect_fields_equal(const core::Data& a, const core::Data& b,
                          const char* field) {
   ASSERT_EQ(a.observations.size(), b.observations.size());
@@ -84,6 +108,41 @@ TEST(PipelineEquivalence, FullWorkflowAcrossBackends) {
     expect_fields_equal(cpu, jax, field);
     expect_fields_equal(cpu, jax_cpu, field);
   }
+}
+
+TEST(PipelineEquivalence, CompiledExecutorMatchesInterpreterOracle) {
+  // The production kernels on the fused-loop executor against the
+  // interpreter oracle, on both jax slots: every field bitwise equal,
+  // the same TimeLog and the same virtual seconds, and no module falls
+  // back to the interpreter.
+  const std::size_t fallbacks_before = toast::kernels::jax::jit_fallbacks();
+  for (const Backend b : {Backend::kJax, Backend::kJaxCpu}) {
+    const auto compiled = run_workflow_on(b, toast::xla::ExecMode::kCompiled);
+    const auto oracle =
+        run_workflow_on(b, toast::xla::ExecMode::kInterpreted);
+    ASSERT_EQ(compiled.data.observations.size(),
+              oracle.data.observations.size());
+    for (std::size_t o = 0; o < oracle.data.observations.size(); ++o) {
+      const auto& oc = compiled.data.observations[o];
+      const auto& oi = oracle.data.observations[o];
+      ASSERT_EQ(oc.field_names(), oi.field_names());
+      for (const auto& name : oi.field_names()) {
+        const auto& fc = oc.field(name);
+        const auto& fi = oi.field(name);
+        ASSERT_EQ(fc.byte_size(), fi.byte_size()) << name;
+        EXPECT_EQ(std::memcmp(fc.raw(), fi.raw(), fi.byte_size()), 0)
+            << core::to_string(b) << " field " << name << " obs " << o;
+      }
+    }
+    ASSERT_EQ(compiled.log.categories(), oracle.log.categories());
+    for (const auto& c : oracle.log.categories()) {
+      EXPECT_EQ(compiled.log.seconds(c), oracle.log.seconds(c)) << c;
+      EXPECT_EQ(compiled.log.calls(c), oracle.log.calls(c)) << c;
+    }
+    EXPECT_EQ(compiled.elapsed, oracle.elapsed) << core::to_string(b);
+    EXPECT_GT(compiled.log.seconds("jit_compile"), 0.0);  // proof jax ran
+  }
+  EXPECT_EQ(toast::kernels::jax::jit_fallbacks(), fallbacks_before);
 }
 
 TEST(PipelineEquivalence, NaiveStagingSameResults) {

@@ -12,6 +12,7 @@
 #include <tuple>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "xla/compiled.hpp"
 
 namespace xla = toast::xla;
@@ -668,6 +669,7 @@ TEST(XlaCompiled, FusedStatsExposedAndCached) {
     return std::vector<Array>{xla::reduce_sum(xla::sqrt(in[0]) * 2.0 + 1.0)};
   });
   const std::vector<Literal> args = {vec({1.0, 4.0, 9.0})};
+  f.rt.set_executor(xla::ExecMode::kInterpreted);  // the oracle never lowers
   fn.call(f.rt, args);
   const auto* compiled = fn.lookup(args);
   ASSERT_NE(compiled, nullptr);
@@ -712,6 +714,48 @@ TEST(XlaCompiled, DtypeMixedModuleRaisesLoweringError) {
   EXPECT_THROW(xla::execute_compiled(compiled, args), xla::LoweringError);
   // Rejection must not poison the cache slot with a bad executable.
   EXPECT_EQ(compiled.fused, nullptr);
+}
+
+TEST(XlaCompiled, FallbackLeavesFaultCountersAlone) {
+  // The dtype-mixed add above, traced through a Jit over empty arrays so
+  // the interpreter can still run it: compiled mode falls back on every
+  // call.  That is a host execution choice, so under an armed fault plan
+  // the fault counters, products and clock must equal the interpreter
+  // run's; the fallback shows up only in Jit::fallbacks().
+  const auto plan = toast::fault::FaultPlan::parse(
+      R"({"schema": "toastcase-fault-plan-v1", "seed": 11,
+          "retry": {"max_attempts": 5},
+          "rules": [{"kind": "launch", "probability": 1.0,
+                     "max_fires": 2}]})");
+  const auto run = [&](xla::ExecMode mode) {
+    Fixture f;
+    toast::fault::FaultInjector faults(plan, &f.clock, &f.tracer);
+    f.rt.set_fault_injector(&faults);
+    f.rt.set_executor(mode);
+    xla::Jit fn("mixed", [](const std::vector<Array>& in) {
+      return std::vector<Array>{in[0] + in[1]};
+    });
+    const std::vector<Literal> args = {
+        Literal::from_f64(Shape{0}, std::vector<double>{}),
+        Literal::from_i64(Shape{0}, std::vector<std::int64_t>{})};
+    std::vector<Literal> out;
+    for (int k = 0; k < 3; ++k) {
+      out = fn.call(f.rt, args);
+    }
+    return std::make_tuple(std::move(out), faults.counters(), f.clock.now(),
+                           fn.fallbacks());
+  };
+  const auto [oi, ci, ti, fi] = run(xla::ExecMode::kInterpreted);
+  const auto [oc, cc, tc, fc] = run(xla::ExecMode::kCompiled);
+  ASSERT_EQ(oi.size(), 1u);
+  ASSERT_EQ(oc.size(), 1u);
+  EXPECT_EQ(oc[0].dtype(), oi[0].dtype());
+  EXPECT_TRUE(oc[0].shape() == oi[0].shape());
+  EXPECT_FALSE(ci.empty());  // the plan really fired
+  EXPECT_EQ(ci, cc);
+  EXPECT_EQ(ti, tc);
+  EXPECT_EQ(fi, 0u);
+  EXPECT_EQ(fc, 3u);
 }
 
 TEST(XlaCompiled, JitCompiledModeMatchesInterpretedTimeline) {
