@@ -2,20 +2,67 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
-
 #include <complex>
+#include <numbers>
 
 #include "fft/fft.hpp"
 #include "healpix/healpix.hpp"
 #include "qarray/qarray.hpp"
 #include "rng/rng.hpp"
+#include "sim/memo.hpp"
 
 namespace toast::sim {
 
 namespace {
 constexpr double kPi = std::numbers::pi;
 constexpr double kDegToRad = std::numbers::pi / 180.0;
+
+std::size_t observation_bytes(const core::Observation& ob) {
+  return ob.byte_size() + ob.intervals().size() * sizeof(core::Interval);
+}
+
+std::size_t vector_bytes(const std::vector<double>& v) {
+  return v.size() * sizeof(double);
+}
+
+struct Memo {
+  std::mutex mu;  // guards all three tables
+  detail::MemoTable<core::Observation> observations{mu, observation_bytes};
+  detail::MemoTable<std::vector<double>> skies{mu, vector_bytes};
+  detail::MemoTable<std::vector<double>> noise{mu, vector_bytes};
+};
+
+Memo& memo() {
+  static Memo m;
+  return m;
+}
+
+// The observation key must cover every ScanParams field.
+static_assert(sizeof(ScanParams) == 7 * sizeof(double),
+              "ScanParams changed: update observation_key");
+
+std::string observation_key(const std::string& name,
+                            const core::Focalplane& fp,
+                            std::int64_t n_samples, const ScanParams& params,
+                            std::uint64_t seed) {
+  detail::KeyBytes k;
+  k.str(name).f64(fp.sample_rate).u64(fp.names.size());
+  for (const auto& n : fp.names) {
+    k.str(n);
+  }
+  k.u64(fp.quats.size());
+  for (const auto& q : fp.quats) {
+    k.f64s(q);
+  }
+  k.f64s(fp.pol_angles).f64s(fp.pol_eff).f64s(fp.net).f64s(fp.fknee);
+  k.f64s(fp.fmin).f64s(fp.alpha);
+  k.i64(n_samples).f64(params.sample_rate).f64(params.spin_period);
+  k.f64(params.prec_period).f64(params.spin_angle_deg);
+  k.f64(params.prec_angle_deg).f64(params.interval_gap_fraction);
+  k.f64(params.interval_jitter_fraction).u64(seed);
+  return k.take();
+}
+
 }  // namespace
 
 core::Focalplane hex_focalplane(std::int64_t n_det, double sample_rate,
@@ -68,7 +115,9 @@ core::Focalplane hex_focalplane(std::int64_t n_det, double sample_rate,
   return fp;
 }
 
-core::Observation simulate_satellite(const std::string& name,
+namespace {
+
+core::Observation generate_satellite(const std::string& name,
                                      const core::Focalplane& fp,
                                      std::int64_t n_samples,
                                      const ScanParams& params,
@@ -156,8 +205,8 @@ core::Observation simulate_satellite(const std::string& name,
   return ob;
 }
 
-std::vector<double> synthetic_sky(std::int64_t nside, std::int64_t nnz,
-                                  std::uint64_t seed) {
+std::vector<double> generate_sky(std::int64_t nside, std::int64_t nnz,
+                                 std::uint64_t seed) {
   healpix::Healpix hp(nside);
   std::vector<double> map(
       static_cast<std::size_t>(hp.npix() * nnz), 0.0);
@@ -171,6 +220,7 @@ std::vector<double> synthetic_sky(std::int64_t nside, std::int64_t nnz,
     const double x = std::sin(theta) * std::cos(phi);
     const double y = std::sin(theta) * std::sin(phi);
     const double z = std::cos(theta);
+    double* out = map.data() + hp.ring2nest(p) * nnz;
     // Dipole + quadrupole-ish smooth pattern per component.
     for (std::int64_t k = 0; k < nnz; ++k) {
       const std::size_t c = static_cast<std::size_t>(8 * (k % 3));
@@ -179,12 +229,50 @@ std::vector<double> synthetic_sky(std::int64_t nside, std::int64_t nnz,
                            coeff[c + 4] * y * z + coeff[c + 5] * x * z +
                            coeff[c + 6] * (z * z - 1.0 / 3.0) +
                            0.1 * coeff[c + 7];
-      const std::int64_t pn = hp.ring2nest(p);
-      map[static_cast<std::size_t>(pn * nnz + k)] =
-          1.0e-5 * value;  // Kelvin-ish CMB scale
+      out[k] = 1.0e-5 * value;  // Kelvin-ish CMB scale
     }
   }
   return map;
+}
+
+std::shared_ptr<const std::vector<double>> cached_sky(std::int64_t nside,
+                                                      std::int64_t nnz,
+                                                      std::uint64_t seed) {
+  return memo().skies.get(
+      detail::KeyBytes{}.i64(nside).i64(nnz).u64(seed).take(),
+      [&] { return generate_sky(nside, nnz, seed); });
+}
+
+}  // namespace
+
+core::Observation simulate_satellite(const std::string& name,
+                                     const core::Focalplane& fp,
+                                     std::int64_t n_samples,
+                                     const ScanParams& params,
+                                     std::uint64_t seed) {
+  return *memo().observations.get(
+      observation_key(name, fp, n_samples, params, seed),
+      [&] { return generate_satellite(name, fp, n_samples, params, seed); });
+}
+
+std::vector<double> synthetic_sky(std::int64_t nside, std::int64_t nnz,
+                                  std::uint64_t seed) {
+  return *cached_sky(nside, nnz, seed);
+}
+
+MemoStats memo_stats() {
+  Memo& m = memo();
+  std::lock_guard<std::mutex> lock(m.mu);
+  return {m.observations.stats_locked(), m.skies.stats_locked(),
+          m.noise.stats_locked()};
+}
+
+void clear_memo() {
+  Memo& m = memo();
+  std::lock_guard<std::mutex> lock(m.mu);
+  m.observations.clear_locked();
+  m.skies.clear_locked();
+  m.noise.clear_locked();
 }
 
 void SynthSkyOp::exec(core::Observation& ob, core::ExecContext& ctx,
@@ -192,10 +280,10 @@ void SynthSkyOp::exec(core::Observation& ob, core::ExecContext& ctx,
   (void)accel;
   (void)backend;
   if (!ob.has_field(core::fields::kSkyMap)) {
-    const auto map = synthetic_sky(nside_, nnz_);
+    const auto map = cached_sky(nside_, nnz_, kSkySeed);
     auto& f = ob.create_buffer(core::fields::kSkyMap, core::FieldType::kF64,
-                               static_cast<std::int64_t>(map.size()));
-    std::copy(map.begin(), map.end(), f.f64().begin());
+                               static_cast<std::int64_t>(map->size()));
+    std::copy(map->begin(), map->end(), f.f64().begin());
   }
   // Host-side generation cost: map domain, so it scales with the map
   // resolution ratio, not the sample ratio.
@@ -226,29 +314,46 @@ void SimNoiseOp::exec(core::Observation& ob, core::ExecContext& ctx,
 
   for (std::int64_t det = 0; det < ob.n_detectors(); ++det) {
     const auto d = static_cast<std::size_t>(det);
-    // Shape a Gaussian random spectrum by the detector PSD:
-    //   P(f) = NET^2 * (1 + (f_knee / f)^alpha), f >= f_min.
-    std::vector<std::complex<double>> spectrum(n_fft / 2 + 1);
-    std::vector<double> re(n_fft / 2 + 1), im(n_fft / 2 + 1);
-    rng::random_gaussian(seed_, static_cast<std::uint64_t>(det), 0, 0, re);
-    rng::random_gaussian(seed_, static_cast<std::uint64_t>(det), 1, 0, im);
-    for (std::size_t bin = 0; bin < spectrum.size(); ++bin) {
-      const double f = std::max(df * static_cast<double>(bin), fp.fmin[d]);
-      const double psd =
-          fp.net[d] * fp.net[d] *
-          (1.0 + std::pow(fp.fknee[d] / f, fp.alpha[d]));
-      const double amp = std::sqrt(0.5 * psd * fp.sample_rate *
-                                   static_cast<double>(n_fft)) /
-                         std::sqrt(static_cast<double>(n_fft));
-      spectrum[bin] = {amp * re[bin], amp * im[bin]};
-    }
-    spectrum[0] = {0.0, 0.0};  // zero mean
-    spectrum.back() = {spectrum.back().real(), 0.0};
-    const auto noise = fft::irfft(spectrum, n_fft);
+    // The realisation depends on the op seed, the detector index, the
+    // sample count and rate and this detector's PSD, not on the
+    // observation: every observation of a rank shares it.
+    std::string key = detail::KeyBytes{}
+                          .u64(seed_)
+                          .i64(det)
+                          .i64(n_samp)
+                          .f64(fp.sample_rate)
+                          .f64(fp.net[d])
+                          .f64(fp.fknee[d])
+                          .f64(fp.fmin[d])
+                          .f64(fp.alpha[d])
+                          .take();
+    const auto noise = memo().noise.get(std::move(key), [&] {
+      // Shape a Gaussian random spectrum by the detector PSD:
+      //   P(f) = NET^2 * (1 + (f_knee / f)^alpha), f >= f_min.
+      std::vector<std::complex<double>> spectrum(n_fft / 2 + 1);
+      std::vector<double> re(n_fft / 2 + 1), im(n_fft / 2 + 1);
+      rng::random_gaussian(seed_, static_cast<std::uint64_t>(det), 0, 0, re);
+      rng::random_gaussian(seed_, static_cast<std::uint64_t>(det), 1, 0, im);
+      for (std::size_t bin = 0; bin < spectrum.size(); ++bin) {
+        const double f = std::max(df * static_cast<double>(bin), fp.fmin[d]);
+        const double psd =
+            fp.net[d] * fp.net[d] *
+            (1.0 + std::pow(fp.fknee[d] / f, fp.alpha[d]));
+        const double amp = std::sqrt(0.5 * psd * fp.sample_rate *
+                                     static_cast<double>(n_fft)) /
+                           std::sqrt(static_cast<double>(n_fft));
+        spectrum[bin] = {amp * re[bin], amp * im[bin]};
+      }
+      spectrum[0] = {0.0, 0.0};  // zero mean
+      spectrum.back() = {spectrum.back().real(), 0.0};
+      auto out = fft::irfft(spectrum, n_fft);
+      out.resize(static_cast<std::size_t>(n_samp));  // only these are used
+      return out;
+    });
     auto signal = ob.det_f64(core::fields::kSignal, det);
     for (std::int64_t s = 0; s < n_samp; ++s) {
       signal[static_cast<std::size_t>(s)] +=
-          noise[static_cast<std::size_t>(s)] *
+          (*noise)[static_cast<std::size_t>(s)] *
           std::sqrt(static_cast<double>(n_fft));
     }
   }

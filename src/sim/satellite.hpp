@@ -42,10 +42,35 @@ core::Observation simulate_satellite(const std::string& name,
                                      const ScanParams& params = {},
                                      std::uint64_t seed = 0);
 
+/// Seed of the sky SynthSkyOp attaches.
+inline constexpr std::uint64_t kSkySeed = 42;
+
 /// Synthesize a smooth sky map (low-order harmonics in I, Q, U) for the
 /// given nside; stored as the "sky_map" field, n_pix x nnz.
 std::vector<double> synthetic_sky(std::int64_t nside, std::int64_t nnz,
-                                  std::uint64_t seed = 42);
+                                  std::uint64_t seed = kSkySeed);
+
+/// Counters of one workload-generation memo table (sim/memo.hpp).  Host
+/// diagnostics only: they never enter a JobResult, a trace span, bench
+/// JSON or a digest.
+struct MemoTableStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t entries = 0;
+  std::uint64_t bytes = 0;  // keys + values held
+};
+
+struct MemoStats {
+  MemoTableStats observations;  // simulate_satellite
+  MemoTableStats skies;         // synthetic_sky / SynthSkyOp
+  MemoTableStats noise;         // SimNoiseOp per-detector realisations
+};
+
+MemoStats memo_stats();
+
+/// Drop every memoised value and zero the counters (tests use it to force
+/// a miss; results never depend on it).
+void clear_memo();
 
 /// Operator: attach the synthetic sky to each observation.
 class SynthSkyOp : public core::Operator {

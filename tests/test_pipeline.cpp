@@ -10,6 +10,8 @@
 #include "core/pipeline.hpp"
 #include "kernels/jax.hpp"
 #include "kernels/operators.hpp"
+#include "mpisim/job.hpp"
+#include "serve/service.hpp"
 #include "sim/satellite.hpp"
 #include "sim/workflow.hpp"
 
@@ -289,5 +291,30 @@ TEST(PipelineStaging, ScienceOutputsAreFinite) {
       map_power += v * v;
     }
     EXPECT_GT(map_power, 0.0);  // the map actually accumulated something
+  }
+}
+
+TEST(PipelineMemo, WarmMemoJobEqualsColdMemoJob) {
+  // The workload-generation memo is host-only: a job whose observations,
+  // sky and noise come from a warm memo is bitwise the job that generated
+  // them, on every slot.
+  auto problem = toast::bench_model::tiny_problem();
+  problem.observations_per_proc = 2;
+  for (const Backend b : {Backend::kCpu, Backend::kOmpTarget, Backend::kJax,
+                          Backend::kJaxCpu}) {
+    const toast::mpisim::JobConfig cfg(problem, b);
+    sim::clear_memo();
+    const auto cold = toast::mpisim::run_benchmark_job(cfg);
+    const auto stats = sim::memo_stats();
+    EXPECT_EQ(stats.observations.hits, 0u) << core::to_string(b);
+    EXPECT_EQ(stats.skies.hits, 1u) << core::to_string(b);
+    const auto warm = toast::mpisim::run_benchmark_job(cfg);
+    EXPECT_GT(sim::memo_stats().observations.hits, 0u) << core::to_string(b);
+    EXPECT_TRUE(toast::serve::results_bitwise_equal(cold, warm))
+        << core::to_string(b);
+    EXPECT_EQ(cold.rank_spans.size(), warm.rank_spans.size())
+        << core::to_string(b);
+    EXPECT_EQ(cold.rank_log.total_seconds(), warm.rank_log.total_seconds())
+        << core::to_string(b);
   }
 }

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "core/context.hpp"
+#include "sim/memo.hpp"
 #include "sim/satellite.hpp"
 #include "sim/workflow.hpp"
 
@@ -197,4 +201,249 @@ TEST(Workflow, BenchmarkPipelineComposition) {
             2u + 4u + 12u);
   EXPECT_EQ(sim::make_pointing_pipeline(cfg).operators().size(), 3u);
   EXPECT_EQ(sim::make_mapmaking_pipeline(cfg).operators().size(), 5u);
+}
+
+// --- workload-generation memo ------------------------------------------
+
+namespace {
+
+/// Every byte of two observations: name, shape, focalplane, intervals and
+/// each field's type, shape and contents.
+void expect_obs_bitwise(const core::Observation& a,
+                        const core::Observation& b) {
+  EXPECT_EQ(a.name(), b.name());
+  EXPECT_EQ(a.n_samples(), b.n_samples());
+  EXPECT_EQ(a.n_detectors(), b.n_detectors());
+  const auto& fa = a.focalplane();
+  const auto& fb = b.focalplane();
+  EXPECT_EQ(fa.names, fb.names);
+  EXPECT_EQ(fa.quats, fb.quats);
+  EXPECT_EQ(fa.net, fb.net);
+  EXPECT_EQ(fa.fknee, fb.fknee);
+  ASSERT_EQ(a.intervals().size(), b.intervals().size());
+  for (std::size_t i = 0; i < a.intervals().size(); ++i) {
+    EXPECT_EQ(a.intervals()[i].start, b.intervals()[i].start);
+    EXPECT_EQ(a.intervals()[i].stop, b.intervals()[i].stop);
+  }
+  ASSERT_EQ(a.field_names(), b.field_names());
+  for (const auto& name : a.field_names()) {
+    const auto& x = a.field(name);
+    const auto& y = b.field(name);
+    EXPECT_EQ(x.type(), y.type()) << name;
+    EXPECT_EQ(x.width(), y.width()) << name;
+    ASSERT_EQ(x.byte_size(), y.byte_size()) << name;
+    EXPECT_EQ(std::memcmp(x.raw(), y.raw(), x.byte_size()), 0) << name;
+  }
+}
+
+std::vector<double> noise_signal(const core::Focalplane& fp,
+                                 std::int64_t n_samples, std::uint64_t seed) {
+  auto ob = sim::simulate_satellite("noise", fp, n_samples, {}, seed);
+  core::ExecConfig cfg;
+  core::ExecContext ctx(cfg);
+  sim::SimNoiseOp noise(4321);
+  noise.ensure_fields(ob);
+  noise.exec(ob, ctx, nullptr, core::Backend::kCpu);
+  const auto s = ob.field(core::fields::kSignal).f64();
+  return {s.begin(), s.end()};
+}
+
+std::vector<double> sky_field(std::int64_t nside) {
+  core::Observation ob("sky", sim::hex_focalplane(2, 37.0), 16);
+  core::ExecConfig cfg;
+  core::ExecContext ctx(cfg);
+  sim::SynthSkyOp(nside).exec(ob, ctx, nullptr, core::Backend::kCpu);
+  const auto s = ob.field(core::fields::kSkyMap).f64();
+  return {s.begin(), s.end()};
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
+
+TEST(SimMemo, HitEqualsMissBitwise) {
+  const auto fp = sim::hex_focalplane(6, 37.0);
+  sim::ScanParams scan;
+  scan.spin_period = 30.0;
+  sim::clear_memo();
+
+  const auto miss = sim::simulate_satellite("m", fp, 3000, scan, 9);
+  const auto hit = sim::simulate_satellite("m", fp, 3000, scan, 9);
+  EXPECT_EQ(sim::memo_stats().observations.misses, 1u);
+  EXPECT_EQ(sim::memo_stats().observations.hits, 1u);
+  expect_obs_bitwise(miss, hit);
+
+  const auto sky_miss = sim::synthetic_sky(16, 3, 5);
+  const auto sky_hit = sim::synthetic_sky(16, 3, 5);
+  EXPECT_TRUE(bitwise_equal(sky_miss, sky_hit));
+  // SynthSkyOp attaches the same cached map.
+  const auto op_map = sky_field(16);
+  EXPECT_EQ(sim::memo_stats().skies.misses, 2u);
+  EXPECT_TRUE(bitwise_equal(op_map, sim::synthetic_sky(16, 3)));
+  EXPECT_EQ(sim::memo_stats().skies.hits, 2u);
+
+  // The noise realisation is per detector, not per observation: the
+  // second observation hits for every detector.
+  const auto noise_miss = noise_signal(fp, 3000, 1);
+  EXPECT_EQ(sim::memo_stats().noise.misses, 6u);
+  const auto noise_hit = noise_signal(fp, 3000, 2);
+  EXPECT_EQ(sim::memo_stats().noise.hits, 6u);
+  EXPECT_TRUE(bitwise_equal(noise_miss, noise_hit));
+  EXPECT_EQ(sim::memo_stats().noise.entries, 6u);
+  EXPECT_GE(sim::memo_stats().noise.bytes, 6u * 3000u * sizeof(double));
+
+  // And a cold memo reproduces all of it.
+  sim::clear_memo();
+  EXPECT_EQ(sim::memo_stats().observations.entries, 0u);
+  expect_obs_bitwise(miss, sim::simulate_satellite("m", fp, 3000, scan, 9));
+  EXPECT_TRUE(bitwise_equal(noise_miss, noise_signal(fp, 3000, 1)));
+  EXPECT_EQ(sim::memo_stats().noise.hits, 0u);
+}
+
+TEST(SimMemo, MutatingACopyLeavesTheMemoIntact) {
+  const auto fp = sim::hex_focalplane(4, 37.0);
+  sim::clear_memo();
+  const auto ref = sim::simulate_satellite("x", fp, 2048, {}, 3);
+  auto ob = sim::simulate_satellite("x", fp, 2048, {}, 3);
+  ob.field(core::fields::kBoresight).f64()[0] = 7.0;
+  ob.field(core::fields::kSharedFlags).u8()[5] ^= 1;
+  ob.intervals().clear();
+  expect_obs_bitwise(ref, sim::simulate_satellite("x", fp, 2048, {}, 3));
+
+  // Sky: scribble over an attached map, then attach again.
+  core::ExecConfig cfg;
+  core::ExecContext ctx(cfg);
+  sim::SynthSkyOp sky(16);
+  sky.exec(ob, ctx, nullptr, core::Backend::kCpu);
+  auto map = ob.field(core::fields::kSkyMap).f64();
+  std::fill(map.begin(), map.end(), -1.0);
+  EXPECT_TRUE(bitwise_equal(sky_field(16), sim::synthetic_sky(16, 3)));
+
+  // Noise: scribble over one signal, then draw into a fresh observation.
+  sim::SimNoiseOp noise(55);
+  noise.ensure_fields(ob);
+  noise.exec(ob, ctx, nullptr, core::Backend::kCpu);
+  const auto s = ob.field(core::fields::kSignal).f64();
+  const std::vector<double> first(s.begin(), s.end());
+  std::fill(s.begin(), s.end(), 3.0);
+  auto fresh = sim::simulate_satellite("x", fp, 2048, {}, 3);
+  noise.ensure_fields(fresh);
+  noise.exec(fresh, ctx, nullptr, core::Backend::kCpu);
+  const auto t = fresh.field(core::fields::kSignal).f64();
+  EXPECT_TRUE(bitwise_equal(first, {t.begin(), t.end()}));
+}
+
+TEST(SimMemo, EveryKeyComponentMisses) {
+  const auto fp = sim::hex_focalplane(4, 37.0);
+  const sim::ScanParams base;
+  sim::clear_memo();
+  (void)sim::simulate_satellite("k", fp, 1024, base, 1);
+  const auto misses = [] { return sim::memo_stats().observations.misses; };
+  const auto expect_miss = [&](const std::string& what, auto&& call) {
+    const auto before = misses();
+    call();
+    EXPECT_EQ(misses(), before + 1) << what;
+  };
+  expect_miss("name", [&] { sim::simulate_satellite("k2", fp, 1024, base, 1); });
+  expect_miss("seed", [&] { sim::simulate_satellite("k", fp, 1024, base, 2); });
+  expect_miss("n_samples",
+              [&] { sim::simulate_satellite("k", fp, 1025, base, 1); });
+  const std::vector<std::pair<const char*, double sim::ScanParams::*>>
+      scan_fields = {
+          {"sample_rate", &sim::ScanParams::sample_rate},
+          {"spin_period", &sim::ScanParams::spin_period},
+          {"prec_period", &sim::ScanParams::prec_period},
+          {"spin_angle_deg", &sim::ScanParams::spin_angle_deg},
+          {"prec_angle_deg", &sim::ScanParams::prec_angle_deg},
+          {"interval_gap_fraction", &sim::ScanParams::interval_gap_fraction},
+          {"interval_jitter_fraction",
+           &sim::ScanParams::interval_jitter_fraction},
+      };
+  for (const auto& [what, member] : scan_fields) {
+    sim::ScanParams p = base;
+    p.*member *= 1.5;
+    expect_miss(what, [&] { sim::simulate_satellite("k", fp, 1024, p, 1); });
+  }
+  auto fp2 = fp;
+  fp2.fknee[2] *= 2.0;
+  expect_miss("fknee", [&] { sim::simulate_satellite("k", fp2, 1024, base, 1); });
+  // The unchanged inputs still hit.
+  const auto hits = sim::memo_stats().observations.hits;
+  (void)sim::simulate_satellite("k", fp, 1024, base, 1);
+  EXPECT_EQ(sim::memo_stats().observations.hits, hits + 1);
+
+  // Noise: one detector's fknee re-draws only that detector.
+  (void)noise_signal(fp, 1024, 1);
+  const auto noise_misses = sim::memo_stats().noise.misses;
+  (void)noise_signal(fp2, 1024, 1);
+  EXPECT_EQ(sim::memo_stats().noise.misses, noise_misses + 1);
+
+  // Sky: nside, nnz and seed are each part of the key.
+  (void)sim::synthetic_sky(8, 3, 1);
+  const auto sky_misses = sim::memo_stats().skies.misses;
+  (void)sim::synthetic_sky(4, 3, 1);
+  (void)sim::synthetic_sky(8, 2, 1);
+  (void)sim::synthetic_sky(8, 3, 2);
+  EXPECT_EQ(sim::memo_stats().skies.misses, sky_misses + 3);
+}
+
+TEST(SimMemo, EntryCapBoundsTheTable) {
+  const auto fp = sim::hex_focalplane(1, 37.0);
+  sim::clear_memo();
+  const std::size_t cap = sim::detail::kMemoMaxEntries;
+  for (std::uint64_t seed = 0; seed < cap + 10; ++seed) {
+    (void)sim::simulate_satellite("cap", fp, 32, {}, seed);
+  }
+  const auto full = sim::memo_stats().observations;
+  EXPECT_EQ(full.entries, cap);
+  EXPECT_EQ(full.misses, cap + 10);
+  // The newest entry is still there; the oldest was evicted.
+  (void)sim::simulate_satellite("cap", fp, 32, {}, cap + 9);
+  EXPECT_EQ(sim::memo_stats().observations.hits, 1u);
+  (void)sim::simulate_satellite("cap", fp, 32, {}, 0);
+  EXPECT_EQ(sim::memo_stats().observations.misses, cap + 11);
+  EXPECT_EQ(sim::memo_stats().observations.entries, cap);
+  EXPECT_EQ(sim::memo_stats().observations.bytes, full.bytes);
+}
+
+TEST(SimMemo, ConcurrentCallersAgree) {
+  const auto fp = sim::hex_focalplane(4, 37.0);
+  struct Products {
+    core::Observation ob{"c", {}, 0};
+    std::vector<double> sky, noise;
+  };
+  const auto produce = [&](std::uint64_t seed) {
+    Products p;
+    p.ob = sim::simulate_satellite("c", fp, 2048, {}, seed);
+    p.sky = sim::synthetic_sky(16, 3, seed);
+    p.noise = noise_signal(fp, 2048, seed);
+    return p;
+  };
+  std::vector<Products> serial;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    serial.push_back(produce(seed));
+  }
+  // Same keys (every thread seed 0) and distinct keys (seed = thread),
+  // both starting from a cold memo.
+  for (const bool distinct : {false, true}) {
+    sim::clear_memo();
+    std::vector<Products> got(4);
+    std::vector<std::thread> threads;
+    for (std::uint64_t t = 0; t < 4; ++t) {
+      threads.emplace_back(
+          [&, t] { got[t] = produce(distinct ? t : 0); });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+    for (std::size_t t = 0; t < 4; ++t) {
+      const auto& want = serial[distinct ? t : 0];
+      expect_obs_bitwise(want.ob, got[t].ob);
+      EXPECT_TRUE(bitwise_equal(want.sky, got[t].sky));
+      EXPECT_TRUE(bitwise_equal(want.noise, got[t].noise));
+    }
+  }
 }
