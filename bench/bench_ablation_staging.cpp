@@ -9,7 +9,6 @@
 
 using namespace toast;
 using core::Backend;
-using core::Pipeline;
 
 int main() {
   toast::bench::print_header(
@@ -24,9 +23,9 @@ int main() {
        {std::pair{"omp-target", Backend::kOmpTarget},
         std::pair{"jax", Backend::kJax}}) {
     mpisim::JobConfig staged{problem, backend};
-    staged.schedule.staging.mode = Pipeline::Staging::kPipelined;
+    staged.schedule.staging.mode = config::Staging::kPipelined;
     mpisim::JobConfig naive{problem, backend};
-    naive.schedule.staging.mode = Pipeline::Staging::kNaive;
+    naive.schedule.staging.mode = config::Staging::kNaive;
     const auto a = mpisim::run_benchmark_job(staged);
     const auto b = mpisim::run_benchmark_job(naive);
     std::printf("%-12s %16s %16s %9.0f%%\n", label,

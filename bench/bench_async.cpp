@@ -1,17 +1,17 @@
 // Async task-graph runtime bench (schema toastcase-bench-async-v1).
 //
-// Three sections:
+// Four sections:
 //   - "plan": the benchmark workflow run twice per case — once through
-//     staged plan replay (Pipeline::exec) and once through the task-graph
-//     runtime (async::run_plan_async, serial mode) — including under a
-//     deterministic launch-chaos plan that forces a mid-run degrade.  The
-//     serial task schedule must reproduce staged replay bit for bit:
-//     identical virtual runtime, TimeLog and science products.  Each row
-//     also reports the lowered graph's structure (task counts, critical
-//     path over the data deps, achievable overlap fraction).
-//   - "pipeline_overlap": the same pipeline driven through the engine's
-//     overlap mode — products and TimeLog must stay bitwise equal to
-//     the serial graph run while the placed makespan may only shrink.
+//     staged plan replay (Pipeline::exec) and once through
+//     async::run_plan_async in serial mode — including under a
+//     deterministic launch-chaos plan that forces a mid-run degrade.  Both
+//     run core::execute_plan, so virtual runtime, TimeLog and science
+//     products must be identical; each row also reports the task graph's
+//     structure (task counts, critical path over the data deps,
+//     achievable overlap fraction).
+//   - "pipeline_overlap": the same pipeline re-timed in overlap mode —
+//     products and TimeLog must stay bitwise equal to the serial run
+//     while the placed makespan may only shrink.
 //   - "solver": the distributed destriper CG in its three comm modes.
 //     kSync (serial engine) must be bitwise equal to kStaged; kOverlap
 //     must keep the products bitwise and beat kStaged by the pipelining
@@ -20,8 +20,8 @@
 //   - "chaos": staged-vs-sync parity again under a pinned rank-failure
 //     plan that exercises checkpoint restore + in-flight task re-enqueue.
 //
-// --dump-tasks <path> writes the lowered task graph of one observation as
-// toastcase-tasks-v1 JSON (`toast-trace tasks` reads it).
+// --dump-tasks <path> writes the executed task graph of one observation
+// as toastcase-tasks-v1 JSON (`toast-trace tasks` reads it).
 
 #include <cmath>
 #include <cstdio>
@@ -40,11 +40,12 @@
 #include "sim/workflow.hpp"
 #include "solver/destriper.hpp"
 
+namespace config = toast::config;
 namespace core = toast::core;
 namespace sim = toast::sim;
 namespace async = toast::async;
 using core::Backend;
-using toast::solver::AsyncComm;
+using config::SolverComm;
 using toast::solver::Destriper;
 using toast::solver::DestriperConfig;
 
@@ -98,7 +99,7 @@ struct DirectResult {
   async::GraphReport report;  // task-graph runs only
 };
 
-DirectResult run_direct(Backend backend, core::Pipeline::Staging staging,
+DirectResult run_direct(Backend backend, config::Staging staging,
                         const toast::fault::FaultPlan& fplan,
                         bool task_graph,
                         async::Mode mode = async::Mode::kSerial) {
@@ -202,7 +203,7 @@ struct SolveResult {
   double restores = 0.0;
 };
 
-SolveResult run_solve(AsyncComm mode, std::uint64_t seed,
+SolveResult run_solve(SolverComm mode, std::uint64_t seed,
                       const toast::fault::FaultPlan& fplan) {
   auto sc = make_scenario(seed);
   sc.cfg.async_comm = mode;
@@ -268,17 +269,17 @@ int main(int argc, char** argv) {
   const struct {
     const char* name;
     Backend backend;
-    core::Pipeline::Staging staging;
+    config::Staging staging;
     toast::fault::FaultPlan faults;
   } direct_cases[] = {
       {"omp_pipelined", Backend::kOmpTarget,
-       core::Pipeline::Staging::kPipelined, no_faults},
-      {"omp_naive", Backend::kOmpTarget, core::Pipeline::Staging::kNaive,
+       config::Staging::kPipelined, no_faults},
+      {"omp_naive", Backend::kOmpTarget, config::Staging::kNaive,
        no_faults},
-      {"jax_pipelined", Backend::kJax, core::Pipeline::Staging::kPipelined,
+      {"jax_pipelined", Backend::kJax, config::Staging::kPipelined,
        no_faults},
       {"omp_launch_chaos", Backend::kOmpTarget,
-       core::Pipeline::Staging::kPipelined, launch_chaos_plan()},
+       config::Staging::kPipelined, launch_chaos_plan()},
   };
 
   std::vector<DirectRow> direct;
@@ -311,8 +312,7 @@ int main(int argc, char** argv) {
   // --- pipeline graph overlap ----------------------------------------------
   // Overlap mode re-times the executed tasks against the dependency
   // structure: products and TimeLog must stay bitwise equal to the
-  // serial graph run (which is itself bitwise equal to staged replay,
-  // checked above), while the placed makespan may only shrink.
+  // serial run, while the placed makespan may only shrink.
   struct OverlapRow {
     std::string name;
     DirectResult serial;
@@ -336,9 +336,9 @@ int main(int argc, char** argv) {
   for (const auto& c : overlap_cases) {
     OverlapRow row;
     row.name = c.name;
-    row.serial = run_direct(c.backend, core::Pipeline::Staging::kPipelined,
+    row.serial = run_direct(c.backend, config::Staging::kPipelined,
                             no_faults, true, async::Mode::kSerial);
-    row.overlap = run_direct(c.backend, core::Pipeline::Staging::kPipelined,
+    row.overlap = run_direct(c.backend, config::Staging::kPipelined,
                              no_faults, true, async::Mode::kOverlap);
     row.products_equal =
         row.serial.signal_sum == row.overlap.signal_sum &&
@@ -355,9 +355,9 @@ int main(int argc, char** argv) {
   }
 
   // --- destriper comm modes -------------------------------------------------
-  const auto staged = run_solve(AsyncComm::kStaged, 11, no_faults);
-  const auto sync = run_solve(AsyncComm::kSync, 11, no_faults);
-  const auto overlap = run_solve(AsyncComm::kOverlap, 11, no_faults);
+  const auto staged = run_solve(SolverComm::kStaged, 11, no_faults);
+  const auto sync = run_solve(SolverComm::kSync, 11, no_faults);
+  const auto overlap = run_solve(SolverComm::kOverlap, 11, no_faults);
   const bool sync_equal = staged.runtime == sync.runtime &&
                           logs_equal(staged.log, sync.log) &&
                           solves_equal(staged, sync);
@@ -375,8 +375,8 @@ int main(int argc, char** argv) {
 
   // --- chaos: staged vs sync under a pinned rank-failure plan ---------------
   const auto chaos_plan = rank_chaos_plan();
-  const auto chaos_staged = run_solve(AsyncComm::kStaged, 11, chaos_plan);
-  const auto chaos_sync = run_solve(AsyncComm::kSync, 11, chaos_plan);
+  const auto chaos_staged = run_solve(SolverComm::kStaged, 11, chaos_plan);
+  const auto chaos_sync = run_solve(SolverComm::kSync, 11, chaos_plan);
   const bool chaos_equal = chaos_staged.runtime == chaos_sync.runtime &&
                            logs_equal(chaos_staged.log, chaos_sync.log) &&
                            solves_equal(chaos_staged, chaos_sync);
@@ -386,7 +386,7 @@ int main(int argc, char** argv) {
               chaos_equal ? "[bitwise]" : "[SYNC MISMATCH]");
 
   if (!dump_tasks_path.empty()) {
-    // Lower one observation's plan and dump the executed graph.
+    // Run one observation and dump its executed task graph.
     auto data = make_data(1);
     core::ExecConfig cfg;
     cfg.backend = Backend::kOmpTarget;
@@ -395,16 +395,10 @@ int main(int argc, char** argv) {
     wf.nside = 32;
     wf.map_iterations = 2;
     auto pipeline = sim::make_benchmark_pipeline(wf);
-    auto& ob = data.observations.front();
-    const auto plan = pipeline.plan_for(ob, ctx);
     core::PlanStats stats;
-    core::PlanExecutor pe(*plan, pipeline.metadata(), ob, ctx,
-                          pipeline.backend_override(), stats);
-    async::TaskGraph graph =
-        async::lower_plan(*plan, pipeline.metadata(), pe);
-    async::Engine engine(ctx.clock(), &ctx.tracer(), {});
-    const auto report = engine.run(graph);
-    pe.finish(toast::obs::kInvalidSpan);
+    async::TaskGraph graph;
+    const auto report = async::run_plan_async(
+        pipeline, data.observations.front(), ctx, stats, {}, &graph);
     std::ofstream out(dump_tasks_path);
     if (!out) {
       throw std::runtime_error("cannot open " + dump_tasks_path);

@@ -31,7 +31,7 @@
 
 namespace comm = toast::comm;
 namespace fault = toast::fault;
-using comm::Algorithm;
+using toast::config::CommAlgorithm;
 using comm::Engine;
 using comm::Topology;
 
@@ -148,11 +148,11 @@ int main(int argc, char** argv) {
       p.ranks = ranks;
       p.bytes = bytes;
       p.formula_s = model.allreduce_seconds(bytes, ranks);
-      p.ring_s = uniform.allreduce_seconds(bytes, Algorithm::kRing);
-      p.rsag_s = uniform.allreduce_seconds(bytes, Algorithm::kRecursive);
-      p.tree_s = uniform.allreduce_seconds(bytes, Algorithm::kTree);
+      p.ring_s = uniform.allreduce_seconds(bytes, CommAlgorithm::kRing);
+      p.rsag_s = uniform.allreduce_seconds(bytes, CommAlgorithm::kRecursive);
+      p.tree_s = uniform.allreduce_seconds(bytes, CommAlgorithm::kTree);
       p.cluster_rsag_s =
-          cluster.allreduce_seconds(bytes, Algorithm::kRecursive);
+          cluster.allreduce_seconds(bytes, CommAlgorithm::kRecursive);
       p.ring_equals_formula = p.ring_s == p.formula_s;
       std::printf("%6d %12.0f %12.4g %12.4g %12.4g %12.4g %12.4g %8s\n",
                   p.ranks, p.bytes, p.formula_s, p.ring_s, p.rsag_s,

@@ -472,7 +472,8 @@ int main(int argc, char** argv) {
   toast::fault::FaultPlan plan;
   std::string plan_name = "builtin_launch_persistent";
   if (!opt.faults_path.empty()) {
-    plan = toast::fault::FaultPlan::load_file(opt.faults_path);
+    plan = toast::bench::load_artifact(argv[0], opt.faults_path,
+                                       toast::fault::FaultPlan::load_file);
     plan_name = opt.faults_path;
   } else {
     plan.seed = 7;

@@ -139,7 +139,8 @@ int main(int argc, char** argv) {
 
   FaultPlan chaos = chaos_plan();
   if (!opt.faults_path.empty()) {
-    chaos = FaultPlan::load_file(opt.faults_path);
+    chaos = toast::bench::load_artifact(argv[0], opt.faults_path,
+                                        FaultPlan::load_file);
     std::printf("chaos plan: %s (%zu rule%s, seed %llu)\n",
                 opt.faults_path.c_str(), chaos.rules.size(),
                 chaos.rules.size() == 1 ? "" : "s",

@@ -120,8 +120,8 @@ int main(int argc, char** argv) {
 
   toast::config::ScheduleConfig base_schedule;
   if (!opt.schedule_path.empty()) {
-    base_schedule =
-        toast::config::ScheduleConfig::load_file(opt.schedule_path);
+    base_schedule = toast::bench::load_artifact(
+        argv[0], opt.schedule_path, toast::config::ScheduleConfig::load_file);
     std::printf("schedule: %s (hash %s)\n", opt.schedule_path.c_str(),
                 base_schedule.hash_hex().c_str());
   }

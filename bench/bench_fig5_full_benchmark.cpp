@@ -30,6 +30,7 @@
 #include "obs/export.hpp"
 #include "tune/tuner.hpp"
 
+namespace config = toast::config;
 using toast::bench_model::large_problem;
 using toast::core::Backend;
 using toast::mpisim::JobConfig;
@@ -126,7 +127,8 @@ int main(int argc, char** argv) {
 
   toast::fault::FaultPlan plan;
   if (!opt.faults_path.empty()) {
-    plan = toast::fault::FaultPlan::load_file(opt.faults_path);
+    plan = toast::bench::load_artifact(argv[0], opt.faults_path,
+                                       toast::fault::FaultPlan::load_file);
     std::printf("fault plan: %s (%zu rule%s, seed %llu)\n",
                 opt.faults_path.c_str(), plan.rules.size(),
                 plan.rules.size() == 1 ? "" : "s",
@@ -140,10 +142,10 @@ int main(int argc, char** argv) {
   if (!opt.comm.empty()) {
     std::printf("comm: %s\n", opt.comm.c_str());
   }
-  toast::config::ScheduleConfig base_schedule;
+  config::ScheduleConfig base_schedule;
   if (!opt.schedule_path.empty()) {
-    base_schedule =
-        toast::config::ScheduleConfig::load_file(opt.schedule_path);
+    base_schedule = toast::bench::load_artifact(
+        argv[0], opt.schedule_path, config::ScheduleConfig::load_file);
     std::printf("schedule: %s (hash %s)\n", opt.schedule_path.c_str(),
                 base_schedule.hash_hex().c_str());
   }
@@ -156,10 +158,10 @@ int main(int argc, char** argv) {
     cfg.schedule.set_backend(backend);
     cfg.fault_plan = plan;
     if (opt.staging == "naive") {
-      cfg.schedule.staging.mode = toast::core::Pipeline::Staging::kNaive;
+      cfg.schedule.staging.mode = config::Staging::kNaive;
     }
     if (opt.comm == "engine") {
-      cfg.schedule.comm.mode = toast::mpisim::CommMode::kEngine;
+      cfg.schedule.comm.mode = config::CommMode::kEngine;
     }
     if (opt.prefetch) {
       cfg.schedule.staging.prefetch = true;

@@ -29,6 +29,7 @@
 #include "sim/satellite.hpp"
 #include "sim/workflow.hpp"
 
+namespace config = toast::config;
 namespace core = toast::core;
 namespace sim = toast::sim;
 using core::Backend;
@@ -70,7 +71,7 @@ struct DirectResult {
   double zmap_sum = 0.0;
 };
 
-DirectResult run_direct(Backend backend, core::Pipeline::Staging staging,
+DirectResult run_direct(Backend backend, config::Staging staging,
                         const toast::fault::FaultPlan& fplan,
                         bool interpret) {
   auto data = make_data();
@@ -157,19 +158,19 @@ int main(int argc, char** argv) {
   const struct {
     const char* name;
     Backend backend;
-    core::Pipeline::Staging staging;
+    config::Staging staging;
     toast::fault::FaultPlan faults;
   } direct_cases[] = {
       {"omp_pipelined", Backend::kOmpTarget,
-       core::Pipeline::Staging::kPipelined, no_faults},
-      {"omp_naive", Backend::kOmpTarget, core::Pipeline::Staging::kNaive,
+       config::Staging::kPipelined, no_faults},
+      {"omp_naive", Backend::kOmpTarget, config::Staging::kNaive,
        no_faults},
-      {"jax_pipelined", Backend::kJax, core::Pipeline::Staging::kPipelined,
+      {"jax_pipelined", Backend::kJax, config::Staging::kPipelined,
        no_faults},
       {"omp_launch_chaos", Backend::kOmpTarget,
-       core::Pipeline::Staging::kPipelined, launch_chaos_plan()},
+       config::Staging::kPipelined, launch_chaos_plan()},
       {"omp_naive_transfer_chaos", Backend::kOmpTarget,
-       core::Pipeline::Staging::kNaive, transfer_chaos_plan()},
+       config::Staging::kNaive, transfer_chaos_plan()},
   };
 
   std::vector<DirectRow> direct;
@@ -214,9 +215,9 @@ int main(int argc, char** argv) {
     JobConfig cfg;
     cfg.problem = large_problem();
     cfg.schedule.set_backend(backend);
-    cfg.interpret = true;
+    cfg.pipeline_run = toast::mpisim::PipelineRun::kInterpreted;
     row.interp = run_benchmark_job(cfg);
-    cfg.interpret = false;
+    cfg.pipeline_run = toast::mpisim::PipelineRun::kStaged;
     row.sync = run_benchmark_job(cfg);
     cfg.schedule.staging.prefetch = true;
     cfg.schedule.staging.evict = true;
@@ -283,10 +284,10 @@ int main(int argc, char** argv) {
     wf.nside = 32;
     wf.map_iterations = 2;
     auto pipeline = sim::make_benchmark_pipeline(wf);
-    core::PlanOptions popt;
-    popt.prefetch = true;
-    popt.evict = true;
-    pipeline.set_plan_options(popt);
+    auto schedule = pipeline.schedule();
+    schedule.staging.prefetch = true;
+    schedule.staging.evict = true;
+    pipeline.set_schedule(schedule);
     const auto plan = pipeline.plan_for(data.observations.front(), ctx);
     std::ofstream out(dump_plan_path);
     if (!out) {

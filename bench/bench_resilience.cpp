@@ -48,7 +48,7 @@ namespace sim = toast::sim;
 namespace fault = toast::fault;
 namespace resilience = toast::resilience;
 using core::Backend;
-using toast::solver::AsyncComm;
+using toast::config::SolverComm;
 using toast::solver::Destriper;
 using toast::solver::DestriperConfig;
 
@@ -114,7 +114,7 @@ struct SolveResult {
   std::vector<toast::obs::Span> spans;
 };
 
-SolveResult run_solve(AsyncComm mode, const fault::FaultPlan& fplan,
+SolveResult run_solve(SolverComm mode, const fault::FaultPlan& fplan,
                       const resilience::Policy& policy) {
   auto sc = make_scenario();
   sc.cfg.async_comm = mode;
@@ -193,11 +193,13 @@ int main(int argc, char** argv) {
 
   fault::FaultPlan elastic_plan = builtin_elastic_plan();
   if (!opt.faults_path.empty()) {
-    elastic_plan = fault::FaultPlan::load_file(opt.faults_path);
+    elastic_plan = toast::bench::load_artifact(argv[0], opt.faults_path,
+                                               fault::FaultPlan::load_file);
   }
   resilience::Policy elastic_policy = builtin_elastic_policy();
   if (!opt.policy_path.empty()) {
-    elastic_policy = resilience::Policy::load_file(opt.policy_path);
+    elastic_policy = toast::bench::load_artifact(
+        argv[0], opt.policy_path, resilience::Policy::load_file);
   }
 
   // --- identity: a disarmed manager is pass-through -------------------------
@@ -213,8 +215,8 @@ int main(int argc, char** argv) {
   }
   const resilience::Policy empty_policy = resilience::Policy::parse(
       R"({"schema": "toastcase-resilience-policy-v1"})");
-  const auto id_none = run_solve(AsyncComm::kStaged, chaos, {});
-  const auto id_empty = run_solve(AsyncComm::kStaged, chaos, empty_policy);
+  const auto id_none = run_solve(SolverComm::kStaged, chaos, {});
+  const auto id_empty = run_solve(SolverComm::kStaged, chaos, empty_policy);
   const bool identity_ok = solves_equal(id_none, id_empty) &&
                            id_none.fault_counters == id_empty.fault_counters &&
                            id_empty.resilience_counters.empty();
@@ -268,11 +270,11 @@ int main(int argc, char** argv) {
               breaker_ok ? "[bitwise]" : "[BREAKER MISMATCH]");
 
   // --- shrink: elastic destriper recovery -----------------------------------
-  const auto clean = run_solve(AsyncComm::kStaged, {}, {});
+  const auto clean = run_solve(SolverComm::kStaged, {}, {});
   const auto shrink_a =
-      run_solve(AsyncComm::kStaged, elastic_plan, elastic_policy);
+      run_solve(SolverComm::kStaged, elastic_plan, elastic_policy);
   const auto shrink_b =
-      run_solve(AsyncComm::kStaged, elastic_plan, elastic_policy);
+      run_solve(SolverComm::kStaged, elastic_plan, elastic_policy);
   const double shrinks =
       counter(shrink_a.resilience_counters, "resilience_world_shrinks");
   const double amp_diff = max_abs_diff(clean.amplitudes, shrink_a.amplitudes);
@@ -346,8 +348,8 @@ int main(int argc, char** argv) {
   ladder_policy.ladders.push_back(
       resilience::LadderSpec{"solver_comm", 1, 2});
   const auto degraded =
-      run_solve(AsyncComm::kOverlap, ladder_plan, ladder_policy);
-  const auto clean_overlap = run_solve(AsyncComm::kOverlap, {}, {});
+      run_solve(SolverComm::kOverlap, ladder_plan, ladder_policy);
+  const auto clean_overlap = run_solve(SolverComm::kOverlap, {}, {});
   const double escalations =
       counter(degraded.resilience_counters, "resilience_degrades");
   const double deg_diff =

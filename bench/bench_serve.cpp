@@ -273,7 +273,8 @@ int main(int argc, char** argv) {
     // Pinned-scenario mode: run the spec twice; the second run checks
     // byte-identical output, CI additionally cmp's --result dumps from
     // two separate processes.
-    const ServiceSpec spec = ServiceSpec::load_file(spec_path);
+    const ServiceSpec spec = toast::bench::load_artifact(
+        argv[0], spec_path, ServiceSpec::load_file);
     ServiceReport a = Service(spec).run();
     const ServiceReport b = Service(spec).run();
     work_conserving = a.work_conserving;

@@ -154,6 +154,19 @@ inline BenchOptions parse_options(int argc, char** argv,
   return opt;
 }
 
+/// Read a JSON artifact named on the command line with `load` (a
+/// load_file).  An unreadable file or a parse error exits 2 with its
+/// message, like a bad flag, instead of aborting through std::terminate.
+template <typename Load>
+auto load_artifact(const char* argv0, const std::string& path, Load load) {
+  try {
+    return load(path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv0, e.what());
+    std::exit(2);
+  }
+}
+
 /// "out.json" + "jax" -> "out.jax.json" (per-backend trace files).
 inline std::string suffixed_path(const std::string& path,
                                  const std::string& tag) {

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     else if (arg == "jax") cfg.schedule.set_backend(core::Backend::kJax);
     else if (arg == "jax-cpu") cfg.schedule.set_backend(core::Backend::kJaxCpu);
     else if (arg == "--no-mps") cfg.schedule.device.mps = false;
-    else if (arg == "--naive") cfg.schedule.staging.mode = core::Pipeline::Staging::kNaive;
+    else if (arg == "--naive") cfg.schedule.staging.mode = config::Staging::kNaive;
     else if (arg == "--prealloc") cfg.schedule.device.jax_preallocate = true;
     else if (std::isdigit(static_cast<unsigned char>(arg[0]))) {
       cfg.problem.procs_per_node = std::stoi(arg);
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   std::printf("backend %s, mps %s, staging %s\n",
               core::to_string(cfg.backend_id()),
               cfg.schedule.device.mps ? "on" : "off",
-              cfg.schedule.staging.mode == core::Pipeline::Staging::kPipelined
+              cfg.schedule.staging.mode == config::Staging::kPipelined
                   ? "pipelined"
                   : "naive");
 

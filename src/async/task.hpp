@@ -5,22 +5,18 @@
 // A Task is one unit of pipeline work — a kernel launch, an H2D/D2H
 // transfer, an eviction, a collective step — with *explicit data
 // dependencies* (indices of earlier tasks) instead of the implicit
-// program-order dependencies of staged replay.  TaskGroups mirror
-// core::PlanGroup: each carries the runtime dispatch decision
-// (decide), the recovery filter (attempt) and the degrade hook
-// (on_fault) of one operator, bound by the lowering to a
-// core::PlanExecutor, so fault recovery means re-routing the group to
-// its patch tasks — recovery is a graph edit, not an exception path.
+// program-order dependencies of staged replay.  A lowered pipeline graph
+// has one task per plan step (lower.hpp); core::execute_plan runs the
+// steps, and the graph only describes them: which lane each one occupies,
+// which earlier tasks it waits for, and — once the run is over — when it
+// started and what it cost.
 //
 // Determinism rules (the §11 contract): task ids are submission order,
-// dependency lists are sorted, the engine's ready-queue tie-break is
-// lowest task id, and no task body may read wall clock or randomness.
-// Under those rules a graph run is a pure function of (graph, cost
-// model, fault plan) and the serial schedule is bitwise equal to
-// staged replay.
+// dependency lists are sorted and placement walks tasks in the driver's
+// run order.  Under those rules the placed times are a pure function of
+// (plan, cost model, fault plan).
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,8 +39,6 @@ inline constexpr int kNumTaskKinds = 10;
 
 const char* to_string(TaskKind k);
 
-using TaskFn = std::function<void(bool recovering)>;
-
 struct Task {
   int id = -1;
   TaskKind kind = TaskKind::kLaunch;
@@ -54,45 +48,16 @@ struct Task {
   /// Data dependencies (RAW/WAW/WAR), sorted ascending; always earlier
   /// task ids.  Derived by TaskRegistry from declared resource uses.
   std::vector<int> deps;
-  TaskFn run;
 
-  // Measured by the engine during a run:
+  // What the run did (filled from the driver's step log):
   double start = 0.0;
   double seconds = 0.0;
   bool ran = false;
 };
 
-/// One operator's slice of the graph; ranges mirror core::PlanGroup.
-///   [begin, body_begin)      pre: overhead + host allocation
-///   [body_begin, post_begin) accel body, wrapped in the recovery filter
-///   [post_begin, tail_begin) post-body cleanup (skipped after a fault)
-///   [tail_begin, end)        always-run tail (liveness evictions)
-/// [alt_begin, alt_end) indexes TaskGraph::alt_tasks — the host patch
-/// the group re-routes to when decide() is false or the body faults.
-struct TaskGroup {
-  std::string name;  ///< operator span name ("": epilogue, no span)
-  bool expect_accel = false;  ///< staged for the device at plan time
-  int begin = 0;
-  int body_begin = 0;
-  int post_begin = 0;
-  int tail_begin = 0;
-  int end = 0;
-  int alt_begin = 0;
-  int alt_end = 0;
-  /// Runtime dispatch: run the accel body?  Null: no decision — run
-  /// [begin, end) unconditionally (the epilogue group).
-  std::function<bool()> decide;
-  /// Recovery filter around the body; returns nullptr when it ran
-  /// clean, else the degrade reason.
-  std::function<const char*(const std::function<void()>&)> attempt;
-  /// Mid-body degrade bookkeeping, before the patch re-route.
-  std::function<void(const char*)> on_fault;
-};
-
 struct TaskGraph {
   std::vector<Task> tasks;
   std::vector<Task> alt_tasks;  ///< patch tasks (driver-ordered, no deps)
-  std::vector<TaskGroup> groups;
   std::vector<std::string> lane_names;
 };
 

@@ -25,7 +25,7 @@ bool is_pow2(int n) { return n > 0 && (n & (n - 1)) == 0; }
 StepDag ring_allreduce(int ranks, double bytes, std::size_t count) {
   StepDag dag;
   dag.collective = "allreduce";
-  dag.algorithm = Algorithm::kRing;
+  dag.algorithm = config::CommAlgorithm::kRing;
   dag.ranks = ranks;
   if (ranks <= 1 || bytes <= 0.0) {
     return dag;
@@ -69,12 +69,12 @@ StepDag rs_ag_allreduce(int ranks, double bytes, std::size_t count) {
     // decomposition but keep the requested label so callers see which
     // algorithm they asked for.
     StepDag dag = ring_allreduce(ranks, bytes, count);
-    dag.algorithm = Algorithm::kRecursive;
+    dag.algorithm = config::CommAlgorithm::kRecursive;
     return dag;
   }
   StepDag dag;
   dag.collective = "allreduce";
-  dag.algorithm = Algorithm::kRecursive;
+  dag.algorithm = config::CommAlgorithm::kRecursive;
   dag.ranks = ranks;
   if (ranks <= 1 || bytes <= 0.0) {
     return dag;
@@ -237,7 +237,7 @@ void append_tree_bcast(StepDag& dag, int n, double bytes, std::size_t count,
 StepDag tree_reduce(int ranks, double bytes, std::size_t count) {
   StepDag dag;
   dag.collective = "reduce";
-  dag.algorithm = Algorithm::kTree;
+  dag.algorithm = config::CommAlgorithm::kTree;
   dag.ranks = ranks;
   if (ranks <= 1 || bytes <= 0.0) {
     return dag;
@@ -250,7 +250,7 @@ StepDag tree_reduce(int ranks, double bytes, std::size_t count) {
 StepDag tree_bcast(int ranks, double bytes, std::size_t count) {
   StepDag dag;
   dag.collective = "bcast";
-  dag.algorithm = Algorithm::kTree;
+  dag.algorithm = config::CommAlgorithm::kTree;
   dag.ranks = ranks;
   if (ranks <= 1 || bytes <= 0.0) {
     return dag;
@@ -263,7 +263,7 @@ StepDag tree_bcast(int ranks, double bytes, std::size_t count) {
 StepDag tree_allreduce(int ranks, double bytes, std::size_t count) {
   StepDag dag;
   dag.collective = "allreduce";
-  dag.algorithm = Algorithm::kTree;
+  dag.algorithm = config::CommAlgorithm::kTree;
   dag.ranks = ranks;
   if (ranks <= 1 || bytes <= 0.0) {
     return dag;
@@ -281,7 +281,7 @@ StepDag tree_allreduce(int ranks, double bytes, std::size_t count) {
 StepDag linear_gather(int ranks, double bytes_per_rank, std::size_t count) {
   StepDag dag;
   dag.collective = "gather";
-  dag.algorithm = Algorithm::kTree;
+  dag.algorithm = config::CommAlgorithm::kTree;
   dag.ranks = ranks;
   if (ranks <= 1 || bytes_per_rank <= 0.0) {
     return dag;
@@ -300,14 +300,14 @@ StepDag linear_gather(int ranks, double bytes_per_rank, std::size_t count) {
   return dag;
 }
 
-StepDag allreduce_dag(Algorithm alg, int ranks, double bytes,
+StepDag allreduce_dag(config::CommAlgorithm alg, int ranks, double bytes,
                       std::size_t count) {
   switch (alg) {
-    case Algorithm::kRing:
+    case config::CommAlgorithm::kRing:
       return ring_allreduce(ranks, bytes, count);
-    case Algorithm::kRecursive:
+    case config::CommAlgorithm::kRecursive:
       return rs_ag_allreduce(ranks, bytes, count);
-    case Algorithm::kTree:
+    case config::CommAlgorithm::kTree:
       return tree_allreduce(ranks, bytes, count);
   }
   throw std::runtime_error("allreduce_dag: unknown algorithm");
@@ -486,7 +486,7 @@ ScheduleResult Engine::schedule(const StepDag& dag,
   return cursor.finish();
 }
 
-double Engine::allreduce_seconds(double bytes, Algorithm alg,
+double Engine::allreduce_seconds(double bytes, config::CommAlgorithm alg,
                                  const RunOptions& opt) const {
   return schedule(split_chunks(allreduce_dag(alg, topo_.n_ranks(), bytes),
                                opt.max_chunk_bytes),
@@ -569,7 +569,7 @@ std::size_t Engine::check_world(
 }
 
 std::vector<std::vector<double>> Engine::allreduce(
-    const std::vector<std::vector<double>>& bufs, Algorithm alg,
+    const std::vector<std::vector<double>>& bufs, config::CommAlgorithm alg,
     ScheduleResult* sched_out, const RunOptions& opt) const {
   const std::size_t m = check_world(bufs);
   const StepDag dag = allreduce_dag(alg, topo_.n_ranks(),

@@ -39,17 +39,6 @@
 
 namespace toast::comm {
 
-/// The collective decomposition algorithm is a schedule-space axis; the
-/// canonical enum lives in the unified config layer (kRing, kRecursive,
-/// kTree) and comm re-exports it under its historical name.
-using Algorithm = config::CommAlgorithm;
-using config::to_string;
-
-/// Parse "ring" / "recursive" / "tree"; throws std::runtime_error.
-inline Algorithm algorithm_from_string(const std::string& s) {
-  return config::comm_algorithm_from_string(s);
-}
-
 /// One point-to-point chunk transfer.  `bytes` is the modelled wire
 /// volume; the element span [*_offset, *_offset + count) is the payload
 /// the functional executor moves (count == 0 on cost-only DAGs).
@@ -68,7 +57,7 @@ struct Step {
 
 struct StepDag {
   const char* collective = "";  ///< "allreduce" | "bcast" | ...
-  Algorithm algorithm = Algorithm::kRing;
+  config::CommAlgorithm algorithm = config::CommAlgorithm::kRing;
   int ranks = 1;
   std::vector<Step> steps;
 };
@@ -95,7 +84,7 @@ StepDag linear_gather(int ranks, double bytes_per_rank,
                       std::size_t count = 0);
 
 /// Allreduce DAG for the chosen algorithm.
-StepDag allreduce_dag(Algorithm alg, int ranks, double bytes,
+StepDag allreduce_dag(config::CommAlgorithm alg, int ranks, double bytes,
                       std::size_t count = 0);
 
 /// Re-chunked copy of a DAG: every step whose wire volume exceeds
@@ -155,8 +144,9 @@ class Engine {
 
   // --- collective costs (makespan seconds, relative to opt.epoch) --------
 
-  double allreduce_seconds(double bytes, Algorithm alg = Algorithm::kRing,
-                           const RunOptions& opt = {}) const;
+  double allreduce_seconds(
+      double bytes, config::CommAlgorithm alg = config::CommAlgorithm::kRing,
+      const RunOptions& opt = {}) const;
   double bcast_seconds(double bytes, const RunOptions& opt = {}) const;
   double reduce_seconds(double bytes, const RunOptions& opt = {}) const;
   double gather_seconds(double bytes_per_rank,
@@ -176,8 +166,8 @@ class Engine {
   /// Also schedules the DAG; `sched_out` receives the placement.
   std::vector<std::vector<double>> allreduce(
       const std::vector<std::vector<double>>& bufs,
-      Algorithm alg = Algorithm::kRing, ScheduleResult* sched_out = nullptr,
-      const RunOptions& opt = {}) const;
+      config::CommAlgorithm alg = config::CommAlgorithm::kRing,
+      ScheduleResult* sched_out = nullptr, const RunOptions& opt = {}) const;
 
   /// Functional broadcast of rank 0's buffer to every rank.
   std::vector<std::vector<double>> bcast(

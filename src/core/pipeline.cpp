@@ -25,14 +25,6 @@ Backend Pipeline::dispatch_backend(const std::string& kernel,
   return ctx.backend_for(kernel);
 }
 
-PlanOptions Pipeline::effective_options() const {
-  PlanOptions options;
-  options.naive_staging = schedule_.staging.mode == Staging::kNaive;
-  options.prefetch = schedule_.staging.prefetch;
-  options.evict = schedule_.staging.evict;
-  return options;
-}
-
 // --- planned execution (the default) ---------------------------------------
 
 std::string Pipeline::plan_key(const Observation& ob, ExecContext& ctx) const {
@@ -70,7 +62,6 @@ std::string Pipeline::plan_key(const Observation& ob, ExecContext& ctx) const {
 
 std::shared_ptr<const ExecutionPlan> Pipeline::plan_for(const Observation& ob,
                                                         ExecContext& ctx) {
-  const PlanOptions options = effective_options();
   const std::string key = plan_key(ob, ctx);
   const auto it = plan_cache_.find(key);
   if (it != plan_cache_.end()) {
@@ -91,7 +82,7 @@ std::shared_ptr<const ExecutionPlan> Pipeline::plan_for(const Observation& ob,
             : 0);
   }
   auto plan = std::make_shared<const ExecutionPlan>(
-      build_plan(meta_, options, outputs_, backends, on_accel, key));
+      build_plan(meta_, schedule_.staging, outputs_, backends, on_accel, key));
   plan_cache_.emplace(key, plan);
   // Plan build is charged once per cache entry as a structural span:
   // zero virtual seconds, so the default plan stays bit-for-bit equal to
@@ -118,16 +109,19 @@ void Pipeline::exec(Data& data, ExecContext& ctx) {
 }
 
 void Pipeline::exec(Observation& ob, ExecContext& ctx) {
-  // Executor degradation ladder: once the policy escalates the
-  // "executor" domain, compiled plan replay gives way to the
-  // interpreter — safe because the interpreter is the plan's bitwise
-  // oracle (identical products, clock and TimeLog).
+  exec(ob, ctx, plan_stats_, {});
+}
+
+void Pipeline::exec(Observation& ob, ExecContext& ctx, PlanStats& stats,
+                    const StepSink& sink) {
+  // Executor degradation ladder: compiled plan replay gives way to the
+  // interpreter, in every drive.
   if (ctx.resilience().level("executor") > 0) {
     exec_interpreted(ob, ctx);
     return;
   }
   const auto plan = plan_for(ob, ctx);
-  execute_plan(*plan, meta_, ob, ctx, backend_override_, plan_stats_);
+  execute_plan(*plan, meta_, ob, ctx, backend_override_, stats, sink);
 }
 
 // --- the interpreter (equivalence oracle) ----------------------------------
@@ -256,7 +250,7 @@ void Pipeline::exec_interpreted(Observation& ob, ExecContext& ctx) {
         accel_ok = false;
         degrade_to_host("device_oom");
       }
-      if (accel_ok && schedule_.staging.mode == Staging::kNaive) {
+      if (accel_ok && schedule_.staging.mode == config::Staging::kNaive) {
         // Naive strategy: everything comes straight back and the device
         // copies are dropped after every kernel.  This runs outside the
         // recovery try: the op already completed, so a persistent

@@ -8,14 +8,17 @@
 // host only when a host-only operator (or the end of the pipeline) needs
 // them, and deletes device data when done.  The paper measured this
 // staging at ~40% faster than naively transferring around every kernel;
-// Staging::kNaive reproduces the naive strategy for that ablation.
+// config::Staging::kNaive reproduces the naive strategy for that ablation.
 //
-// Since the plan/execute split (docs/MODEL.md "Pipeline compilation"),
 // exec() compiles the operator list into a cached ExecutionPlan and runs
-// that; the historical interpreter is kept as exec_interpreted(), the
-// bit-for-bit oracle the plan-equivalence tests and benches compare
-// against.  set_plan_options() opts into prefetch (transfer/compute
-// overlap on the sched copy engine) and liveness eviction.
+// it through core::execute_plan, the one plan driver (docs/MODEL.md
+// "Pipeline compilation"); the async layer's overlap mode re-times that
+// same run (async::run_plan_async).  exec_interpreted() places every
+// transfer greedily at exec time: it is the one oracle the plan tests and
+// benches compare against, and the target of the "executor" degradation
+// ladder.  The schedule's staging axis (set_schedule) opts into prefetch
+// (transfer/compute overlap on the sched copy engine) and liveness
+// eviction.
 
 #include <map>
 #include <memory>
@@ -34,13 +37,8 @@ namespace toast::core {
 
 class Pipeline {
  public:
-  /// The staging strategy is a schedule-space axis; the canonical enum
-  /// (kPipelined / kNaive) lives in the unified config layer and the
-  /// pipeline re-exports it under its historical name.
-  using Staging = config::Staging;
-
   explicit Pipeline(std::vector<std::shared_ptr<Operator>> operators,
-                    Staging staging = Staging::kPipelined)
+                    config::Staging staging = config::Staging::kPipelined)
       : operators_(std::move(operators)),
         meta_(build_op_metadata(operators_)) {
     schedule_.staging.mode = staging;
@@ -66,17 +64,6 @@ class Pipeline {
     return backend_override_;
   }
 
-  /// Opt into prefetch / liveness eviction (the naive_staging bit is
-  /// derived from the Staging mode and ignored here).  A convenience
-  /// view onto set_schedule(): the bits land in the schedule's staging
-  /// axis.
-  void set_plan_options(const PlanOptions& options) {
-    schedule_.staging.prefetch = options.prefetch;
-    schedule_.staging.evict = options.evict;
-    plan_cache_.clear();
-  }
-  PlanOptions plan_options() const { return effective_options(); }
-
   /// Adopt a full schedule-space config.  The pipeline consumes its
   /// staging axis (mode + prefetch/evict) and keys the plan cache off
   /// the config's hash, so distinct schedules never share a plan.
@@ -96,9 +83,18 @@ class Pipeline {
   void exec(Data& data, ExecContext& ctx);
   void exec(Observation& ob, ExecContext& ctx);
 
-  /// The historical interpreter: places every transfer greedily at exec
-  /// time.  Kept as the equivalence oracle; the default plan reproduces
-  /// its virtual-time results bit for bit.
+  /// The planned entry both pipeline drives share: plan_for, then
+  /// execute_plan accumulating into `stats` and handing the step log to
+  /// `sink` (if any).  Once the resilience policy escalates the
+  /// "executor" domain, the interpreter runs instead and `sink` is not
+  /// called — safe because the interpreter is the plan's bitwise oracle
+  /// (identical products, clock and TimeLog).
+  void exec(Observation& ob, ExecContext& ctx, PlanStats& stats,
+            const StepSink& sink);
+
+  /// The interpreter: places every transfer greedily at exec time.  Kept
+  /// as the equivalence oracle; the default plan reproduces its
+  /// virtual-time results bit for bit.
   void exec_interpreted(Data& data, ExecContext& ctx);
   void exec_interpreted(Observation& ob, ExecContext& ctx);
 
@@ -121,7 +117,6 @@ class Pipeline {
  private:
   Backend dispatch_backend(const std::string& kernel,
                            ExecContext& ctx) const;
-  PlanOptions effective_options() const;
   std::string plan_key(const Observation& ob, ExecContext& ctx) const;
 
   std::vector<std::shared_ptr<Operator>> operators_;

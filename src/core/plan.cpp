@@ -1,6 +1,8 @@
 #include "core/plan.hpp"
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
 
 #include "accel/sim_device.hpp"
@@ -58,7 +60,8 @@ namespace {
 
 class Planner {
  public:
-  Planner(const std::vector<OpMeta>& meta, const PlanOptions& options,
+  Planner(const std::vector<OpMeta>& meta,
+          const config::StagingConfig& options,
           const std::vector<std::string>& outputs,
           const std::vector<Backend>& backends,
           const std::vector<char>& on_accel)
@@ -66,7 +69,8 @@ class Planner {
         options_(options),
         outputs_(outputs),
         backends_(backends),
-        on_accel_(on_accel) {}
+        on_accel_(on_accel),
+        naive_(options.mode == config::Staging::kNaive) {}
 
   ExecutionPlan build(std::string key) {
     plan_.key = std::move(key);
@@ -186,7 +190,7 @@ class Planner {
       plan_.steps.push_back(launch);
     }
     g.post_begin = static_cast<int>(plan_.steps.size());
-    if (g.on_accel && options_.naive_staging) {
+    if (g.on_accel && naive_) {
       for (const auto& name : m.touched) {
         PlanStep dl{StepKind::kDownload, k, fidx(name)};
         dl.swallow_persistent = true;
@@ -195,7 +199,7 @@ class Planner {
       }
     }
     g.post_end = static_cast<int>(plan_.steps.size());
-    if (options_.evict && !options_.naive_staging) {
+    if (options_.evict && !naive_) {
       for (const auto& name : m.touched) {
         if (last_use_.at(name) == k && mapped_.count(name) != 0 &&
             !is_output(name)) {
@@ -296,16 +300,17 @@ class Planner {
   /// naive-staging plan avoids exactly nothing by construction.
   void model_transfers() {
     plan_.naive_transfers = simulate_transfers(/*naive_staging=*/true);
-    plan_.planned_transfers = simulate_transfers(options_.naive_staging);
+    plan_.planned_transfers = simulate_transfers(naive_);
     plan_.transfers_avoided =
         std::max(0, plan_.naive_transfers - plan_.planned_transfers);
   }
 
   const std::vector<OpMeta>& meta_;
-  PlanOptions options_;
+  config::StagingConfig options_;
   const std::vector<std::string>& outputs_;
   const std::vector<Backend>& backends_;
   const std::vector<char>& on_accel_;
+  const bool naive_;  ///< Staging::kNaive: round-trip every accel operator
   std::map<std::string, int> last_use_;
   std::set<std::string> mapped_;
   ExecutionPlan plan_;
@@ -314,7 +319,7 @@ class Planner {
 }  // namespace
 
 ExecutionPlan build_plan(const std::vector<OpMeta>& meta,
-                         const PlanOptions& options,
+                         const config::StagingConfig& options,
                          const std::vector<std::string>& outputs,
                          const std::vector<Backend>& backends,
                          const std::vector<char>& on_accel,
@@ -324,6 +329,57 @@ ExecutionPlan build_plan(const std::vector<OpMeta>& meta,
 }
 
 // --- executor --------------------------------------------------------------
+
+namespace {
+
+/// Step-level executor for one (plan, observation) run: owns the device
+/// store, per-field validity state, the optional prefetch copy engine and
+/// the degrade bookkeeping.  It defines what a step does; execute_plan
+/// decides when each step runs.
+class PlanExecutor {
+ public:
+  PlanExecutor(const ExecutionPlan& plan, const std::vector<OpMeta>& meta,
+               Observation& ob, ExecContext& ctx,
+               const std::optional<Backend>& backend_override,
+               PlanStats& stats);
+
+  /// Run one plan (or alt) step.  `recovering` lets downloads swallow
+  /// persistent transfer faults, as the interpreter's recovery path did.
+  void run_step(const PlanStep& s, bool recovering);
+
+  /// Resolve the group's dispatch at run time; returns whether the accel
+  /// body should execute.  When the plan staged the group for the device
+  /// but the kernel has since degraded, the replan is counted here.
+  bool decide(const PlanGroup& g);
+
+  /// Mid-body degrade bookkeeping: fallback + replan notes, pin the
+  /// kernel to the CPU.  The caller then runs the patch (recovering).
+  void mark_degraded(const PlanGroup& g, const char* reason);
+
+  /// Drain in-flight prefetches, fold the plan counters into the stats
+  /// and the pipeline span, release the device store.
+  void finish(obs::SpanId pipeline_span);
+
+ private:
+  Field* field_ptr(int idx);
+  void download(Field& f, bool swallow);
+
+  struct FieldRt {
+    bool host_valid = true;
+    bool device_valid = false;
+  };
+
+  const ExecutionPlan& plan_;
+  const std::vector<OpMeta>& meta_;
+  Observation& ob_;
+  ExecContext& ctx_;
+  const std::optional<Backend> backend_override_;
+  PlanStats& stats_;
+  AccelStore store_;
+  std::map<Field*, FieldRt> state_;
+  std::optional<sched::Scheduler> engine_;
+  Backend cur_backend_ = Backend::kCpu;
+};
 
 PlanExecutor::PlanExecutor(const ExecutionPlan& plan,
                            const std::vector<OpMeta>& meta, Observation& ob,
@@ -468,12 +524,6 @@ void PlanExecutor::run_step(const PlanStep& s, bool recovering) {
   }
 }
 
-void PlanExecutor::run_patch(const PlanGroup& g, bool recovering) {
-  for (int i = g.alt_begin; i < g.alt_end; ++i) {
-    run_step(plan_.alt_steps[static_cast<std::size_t>(i)], recovering);
-  }
-}
-
 bool PlanExecutor::decide(const PlanGroup& g) {
   const OpMeta& m = meta_[static_cast<std::size_t>(g.op)];
   cur_backend_ = backend_override_.has_value() ? *backend_override_
@@ -487,24 +537,6 @@ bool PlanExecutor::decide(const PlanGroup& g) {
     ctx_.faults().note_replan(m.name);
   }
   return on_accel;
-}
-
-const char* PlanExecutor::attempt(const std::function<void()>& body) {
-  try {
-    body();
-  } catch (const fault::PersistentFaultError&) {
-    // Retry budget exhausted on a launch or transfer: the plan's
-    // host-fallback patch re-runs this operator on the CPU.  The
-    // functional work in both runtimes happens on shadow copies
-    // before the time charge throws, so host data is untouched.
-    return "persistent_fault";
-  } catch (const accel::DeviceOomError& e) {
-    if (!e.info().injected) {
-      throw;  // real capacity overflow: the fig4 OOM points rely on it
-    }
-    return "device_oom";
-  }
-  return nullptr;
 }
 
 void PlanExecutor::mark_degraded(const PlanGroup& g, const char* reason) {
@@ -534,51 +566,80 @@ void PlanExecutor::finish(obs::SpanId pipeline_span) {
   store_.clear();
 }
 
+}  // namespace
+
 void execute_plan(const ExecutionPlan& plan, const std::vector<OpMeta>& meta,
                   Observation& ob, ExecContext& ctx,
                   const std::optional<Backend>& backend_override,
-                  PlanStats& stats) {
+                  PlanStats& stats, const StepSink& sink) {
   obs::ScopedSpan pipeline_span(ctx.tracer(), "pipeline:" + ob.name(),
                                 "pipeline");
   PlanExecutor pe(plan, meta, ob, ctx, backend_override, stats);
+  const bool record = static_cast<bool>(sink);
+  StepLog log;
+  log.start = ctx.clock().now();
+
+  // Run steps [begin, end) of the main list, or of the patch list (alt).
+  auto run = [&](bool alt, int begin, int end, bool recovering) {
+    const std::vector<PlanStep>& steps = alt ? plan.alt_steps : plan.steps;
+    if (record && alt && begin < end) {
+      log.records.push_back({StepRecord::kBarrier});
+    }
+    for (int i = begin; i < end; ++i) {
+      const double t0 = ctx.clock().now();
+      pe.run_step(steps[static_cast<std::size_t>(i)], recovering);
+      if (record) {
+        log.records.push_back({alt ? StepRecord::kAlt : StepRecord::kMain,
+                               i, t0, ctx.clock().now() - t0});
+      }
+    }
+    if (record && alt && begin < end) {
+      log.records.push_back({StepRecord::kBarrier});
+    }
+  };
 
   for (const PlanGroup& g : plan.groups) {
     if (g.op < 0) {
-      for (int i = g.begin; i < g.end; ++i) {
-        pe.run_step(plan.steps[static_cast<std::size_t>(i)], false);
-      }
+      run(false, g.begin, g.end, false);
       continue;
     }
     const OpMeta& m = meta[static_cast<std::size_t>(g.op)];
     obs::ScopedSpan op_span(ctx.tracer(), m.name, "operator");
-    for (int i = g.begin; i < g.try_begin; ++i) {
-      pe.run_step(plan.steps[static_cast<std::size_t>(i)], false);
-    }
+    run(false, g.begin, g.try_begin, false);
     if (!pe.decide(g)) {
-      pe.run_patch(g, /*recovering=*/false);
+      run(true, g.alt_begin, g.alt_end, false);
     } else {
-      const char* reason = pe.attempt([&] {
-        for (int i = g.try_begin; i < g.post_begin; ++i) {
-          pe.run_step(plan.steps[static_cast<std::size_t>(i)], false);
+      const char* reason = nullptr;
+      try {
+        run(false, g.try_begin, g.post_begin, false);
+      } catch (const fault::PersistentFaultError&) {
+        // Retry budget exhausted on a launch or transfer: the plan's
+        // host-fallback patch re-runs this operator on the CPU.  The
+        // functional work in both runtimes happens on shadow copies
+        // before the time charge throws, so host data is untouched.
+        reason = "persistent_fault";
+      } catch (const accel::DeviceOomError& e) {
+        if (!e.info().injected) {
+          throw;  // real capacity overflow: the fig4 OOM points rely on it
         }
-      });
+        reason = "device_oom";
+      }
       if (reason != nullptr) {
         pe.mark_degraded(g, reason);
-        pe.run_patch(g, /*recovering=*/true);
+        run(true, g.alt_begin, g.alt_end, true);
       } else {
         // Naive-staging cleanup runs outside the recovery try: the op
         // already completed, so a persistent transfer fault here must
         // not re-run it (in-place ops would double-apply).
-        for (int i = g.post_begin; i < g.post_end; ++i) {
-          pe.run_step(plan.steps[static_cast<std::size_t>(i)], false);
-        }
+        run(false, g.post_begin, g.post_end, false);
       }
     }
-    for (int i = g.post_end; i < g.end; ++i) {
-      pe.run_step(plan.steps[static_cast<std::size_t>(i)], false);
-    }
+    run(false, g.post_end, g.end, false);
   }
 
+  if (record) {
+    sink(plan, log);
+  }
   pe.finish(pipeline_span.id());
 }
 
@@ -636,7 +697,7 @@ void ExecutionPlan::write_json(std::ostream& out) const {
   out << "{\n  \"schema\":\"toastcase-plan-v1\",\n";
   out << "  \"key\":" << json_str(key) << ",\n";
   out << "  \"options\":{\"naive_staging\":"
-      << (options.naive_staging ? "true" : "false")
+      << (options.mode == config::Staging::kNaive ? "true" : "false")
       << ",\"prefetch\":" << (options.prefetch ? "true" : "false")
       << ",\"evict\":" << (options.evict ? "true" : "false") << "},\n";
   out << "  \"ops\":[";

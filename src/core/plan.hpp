@@ -1,6 +1,6 @@
 #pragma once
 
-// Pipeline compilation (ROADMAP: plan/execute architecture).
+// Pipeline compilation (docs/MODEL.md "Pipeline compilation").
 //
 // The hybrid pipeline of paper §3.2.2 places data movement from each
 // operator's requires/provides declarations.  This layer lifts that
@@ -11,21 +11,22 @@
 // per-field liveness — uploads only before first device use, downloads
 // only for live-out or host-consumed fields, Evict at a dead device
 // intermediate's last use.  Plans are cached per (pipeline signature,
-// backend map, staging mode, observation layout), like the xla JIT
+// backend map, staging config, observation layout), like the xla JIT
 // cache.
 //
-// The default (synchronous, no prefetch, no evict) plan executes the
-// exact step sequence of the historical interpreter, with the same
-// runtime guards, so its virtual-time results are bit-for-bit identical
-// — including under deterministic fault plans, where a degraded kernel
+// execute_plan is the one plan driver.  The default (pipelined or
+// naive, no prefetch, no evict) plan executes the exact step sequence of
+// the interpreter (Pipeline::exec_interpreted), with the same runtime
+// guards, so its virtual-time results are bit-for-bit identical —
+// including under deterministic fault plans, where a degraded kernel
 // triggers the plan's host-fallback patch instead of an inline lambda.
-// PlanOptions::prefetch and PlanOptions::evict trade that guarantee for
+// The staging config's prefetch and evict bits trade that guarantee for
 // transfer/compute overlap (via the sched copy engine) and a lower peak
-// device footprint.
+// device footprint.  The async layer's overlap mode is not a second
+// driver: it re-times the steps execute_plan ran (StepSink).
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -33,12 +34,12 @@
 #include <vector>
 
 #include "backend/manifest.hpp"
+#include "config/schedule.hpp"
 #include "core/accel_store.hpp"
 #include "core/context.hpp"
 #include "core/observation.hpp"
 #include "core/operator.hpp"
 #include "core/types.hpp"
-#include "sched/scheduler.hpp"
 
 namespace toast::core {
 
@@ -60,17 +61,6 @@ struct OpMeta {
 
 std::vector<OpMeta> build_op_metadata(
     const std::vector<std::shared_ptr<Operator>>& operators);
-
-struct PlanOptions {
-  /// Transfer in/out around every accelerated operator (Staging::kNaive).
-  bool naive_staging = false;
-  /// Hoist the next accel operator's uploads onto the sched copy engine
-  /// while the current operator computes (no bitwise guarantee).
-  bool prefetch = false;
-  /// Unmap dead device intermediates at their last use (no bitwise
-  /// guarantee: returning blocks to the pool changes later alloc costs).
-  bool evict = false;
-};
 
 enum class StepKind : std::uint8_t {
   kChargeOverhead,  ///< per-operator serial framework overhead
@@ -128,7 +118,8 @@ using LaunchFn =
 
 struct ExecutionPlan {
   std::string key;
-  PlanOptions options;
+  /// The pipeline's staging axis at plan time (mode, prefetch, evict).
+  config::StagingConfig options;
   std::vector<std::string> field_names;
   std::vector<PlanStep> steps;
   std::vector<PlanStep> alt_steps;
@@ -177,80 +168,42 @@ struct PlanStats {
 /// Compile the operator list into a plan.  `backends`/`on_accel` are the
 /// dispatch decisions at plan time (one entry per operator).
 ExecutionPlan build_plan(const std::vector<OpMeta>& meta,
-                         const PlanOptions& options,
+                         const config::StagingConfig& options,
                          const std::vector<std::string>& outputs,
                          const std::vector<Backend>& backends,
                          const std::vector<char>& on_accel, std::string key);
 
-/// Execute a plan on one observation.  Re-evaluates each group's dispatch
-/// at runtime: a kernel degraded since plan build runs the group's
-/// host-fallback patch (counted as a replan) instead of the accel body.
+/// One entry of a StepLog.  kMain/kAlt: a step of the plan's `steps` /
+/// `alt_steps` ran at virtual time `start` and cost `seconds`.  kBarrier
+/// brackets every patch range: recovery serializes against everything
+/// in flight.
+struct StepRecord {
+  enum Kind : std::uint8_t { kMain, kAlt, kBarrier };
+  Kind kind = kMain;
+  int index = 0;
+  double start = 0.0;
+  double seconds = 0.0;
+};
+
+/// The steps one execute_plan run actually ran, in run order.
+struct StepLog {
+  double start = 0.0;  ///< clock when the first group began
+  std::vector<StepRecord> records;
+};
+
+/// Post-pass over a finished step log, called inside the pipeline span
+/// before the plan's prefetch drain.  The async layer's overlap mode is
+/// one: it re-times the run against the steps' data dependencies.
+using StepSink = std::function<void(const ExecutionPlan&, const StepLog&)>;
+
+/// The plan driver: execute a plan on one observation.  Re-evaluates
+/// each group's dispatch at runtime: a kernel degraded since plan build
+/// runs the group's host-fallback patch (counted as a replan) instead of
+/// the accel body, and so does a body that hits a recoverable fault.
+/// With a `sink`, every step is recorded and handed to it at the end.
 void execute_plan(const ExecutionPlan& plan, const std::vector<OpMeta>& meta,
                   Observation& ob, ExecContext& ctx,
                   const std::optional<Backend>& backend_override,
-                  PlanStats& stats);
-
-/// Step-level executor for one (plan, observation) run: owns the device
-/// store, per-field validity state, the optional prefetch copy engine and
-/// the degrade bookkeeping.  Both drivers — execute_plan's staged replay
-/// loop and the async task-graph lowering (src/async/lower.*) — run every
-/// step through this class, so "what a step does" is defined exactly once
-/// and the two runtimes stay bit-for-bit interchangeable; a driver only
-/// decides *when* each step runs.
-class PlanExecutor {
- public:
-  PlanExecutor(const ExecutionPlan& plan, const std::vector<OpMeta>& meta,
-               Observation& ob, ExecContext& ctx,
-               const std::optional<Backend>& backend_override,
-               PlanStats& stats);
-
-  /// Run one plan (or alt) step.  `recovering` lets downloads swallow
-  /// persistent transfer faults, as the interpreter's recovery path did.
-  void run_step(const PlanStep& s, bool recovering);
-
-  /// Run a group's host-fallback patch [alt_begin, alt_end).
-  void run_patch(const PlanGroup& g, bool recovering);
-
-  /// Resolve the group's dispatch at run time; returns whether the accel
-  /// body should execute.  When the plan staged the group for the device
-  /// but the kernel has since degraded, the replan is counted here.
-  bool decide(const PlanGroup& g);
-
-  /// Run `body` under the recovery filter: returns nullptr when it ran
-  /// clean, else the degrade reason of the recoverable fault (persistent
-  /// retry exhaustion, injected OOM) that aborted it.  Non-recoverable
-  /// exceptions propagate.
-  const char* attempt(const std::function<void()>& body);
-
-  /// Mid-body degrade bookkeeping: fallback + replan notes, pin the
-  /// kernel to the CPU.  The caller then runs the patch (recovering).
-  void mark_degraded(const PlanGroup& g, const char* reason);
-
-  /// Drain in-flight prefetches, fold the plan counters into the stats
-  /// and the pipeline span, release the device store.
-  void finish(obs::SpanId pipeline_span);
-
-  const ExecutionPlan& plan() const { return plan_; }
-
- private:
-  Field* field_ptr(int idx);
-  void download(Field& f, bool swallow);
-
-  struct FieldRt {
-    bool host_valid = true;
-    bool device_valid = false;
-  };
-
-  const ExecutionPlan& plan_;
-  const std::vector<OpMeta>& meta_;
-  Observation& ob_;
-  ExecContext& ctx_;
-  const std::optional<Backend> backend_override_;
-  PlanStats& stats_;
-  AccelStore store_;
-  std::map<Field*, FieldRt> state_;
-  std::optional<sched::Scheduler> engine_;
-  Backend cur_backend_ = Backend::kCpu;
-};
+                  PlanStats& stats, const StepSink& sink = {});
 
 }  // namespace toast::core

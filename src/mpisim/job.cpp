@@ -148,19 +148,17 @@ JobResult run_benchmark_job(const JobConfig& cfg) {
   pipeline.set_schedule(cfg.schedule);
   core::PlanStats graph_stats;
   auto run_pipeline = [&](core::Observation& ob) {
-    if (cfg.interpret) {
-      pipeline.exec_interpreted(ob, ctx);
-    } else if (cfg.pipeline_run != PipelineRun::kStaged) {
-      // Task-graph drive: the serial schedule is the bitwise oracle of
-      // staged replay; overlap re-times against the dependency
-      // structure, shrinking runtime while products stay bitwise.
-      async::Options aopt;
-      aopt.mode = cfg.pipeline_run == PipelineRun::kGraphOverlap
-                      ? async::Mode::kOverlap
-                      : async::Mode::kSerial;
-      async::run_plan_async(pipeline, ob, ctx, graph_stats, aopt);
-    } else {
-      pipeline.exec(ob, ctx);
+    switch (cfg.pipeline_run) {
+      case PipelineRun::kInterpreted:
+        pipeline.exec_interpreted(ob, ctx);
+        break;
+      case PipelineRun::kStaged:
+        pipeline.exec(ob, ctx);
+        break;
+      case PipelineRun::kOverlap:
+        async::run_plan_async(pipeline, ob, ctx, graph_stats,
+                              {async::Mode::kOverlap});
+        break;
     }
   };
   if (!ctx.faults().armed()) {
@@ -281,7 +279,7 @@ JobResult run_benchmark_job(const JobConfig& cfg) {
   // "collectives" domain, the step-scheduled engine gives way to the
   // closed-form CommModel (always over the surviving world).
   const bool engine_collectives =
-      cfg.schedule.comm.mode == CommMode::kEngine &&
+      cfg.schedule.comm.mode == config::CommMode::kEngine &&
       rm.level("collectives") == 0;
   bool engine_done = false;
   if (engine_collectives) {
@@ -337,8 +335,8 @@ JobResult run_benchmark_job(const JobConfig& cfg) {
     result.fault_counters[key] += value;
   }
   result.world_ranks = world;
-  if (!cfg.interpret) {
-    // Graph-driven runs accumulate executor stats into graph_stats (the
+  if (cfg.pipeline_run != PipelineRun::kInterpreted) {
+    // Overlap runs accumulate executor stats into graph_stats (the
     // pipeline only sees plan_for's cache traffic); fold them together.
     core::PlanStats ps = pipeline.plan_stats();
     ps.replans += graph_stats.replans;

@@ -36,21 +36,13 @@
 
 namespace toast::mpisim {
 
-/// How the end-of-run map allreduce is costed (kModel = closed-form
-/// CommModel, the seed behaviour; kEngine = step-scheduled comm::Engine
-/// on the cluster topology).  The canonical enum is the unified config
-/// layer's comm-mode axis; mpisim re-exports it under its historical
-/// name.
-using CommMode = config::CommMode;
-
 /// How the pipeline body of each observation is driven.  Not a schedule
-/// axis (toastcase-schedule-v1 is pinned by its canonical hash): the
-/// graph modes are execution strategies whose products must be bitwise
-/// identical to staged replay, so they live beside `interpret`.
+/// axis (toastcase-schedule-v1 is pinned by its canonical hash): these
+/// are execution strategies whose products are bitwise identical.
 enum class PipelineRun {
-  kStaged,        ///< Pipeline::exec staged replay (the historical path)
-  kGraphSerial,   ///< async::Engine serial graph run (bitwise oracle)
-  kGraphOverlap,  ///< async::Engine overlap graph run (placed makespan)
+  kInterpreted,  ///< Pipeline::exec_interpreted, the plan's oracle
+  kStaged,       ///< Pipeline::exec staged plan replay (the default)
+  kOverlap,      ///< async::run_plan_async overlap re-timing
 };
 
 struct JobConfig {
@@ -63,14 +55,9 @@ struct JobConfig {
   /// ExecConfig, Pipeline and the comm engine unchanged, so one parsed
   /// `toastcase-schedule-v1` artifact configures the whole stack.
   config::ScheduleConfig schedule;
-  /// Run the historical interpreter instead of the cached ExecutionPlan
-  /// (the equivalence oracle the plan bench compares against; not a
-  /// schedule axis — it must not change any result bit).
-  bool interpret = false;
-  /// Drive observation pipelines through the async task-graph engine
-  /// (ignored when `interpret` is set).  Serial is the bitwise oracle;
-  /// overlap re-times the executed tasks against the dependency
-  /// structure, so runtime may shrink while products stay bitwise.
+  /// How observation pipelines run.  Overlap re-times the staged run
+  /// against the steps' data dependencies, so runtime may shrink while
+  /// products and TimeLog stay bitwise.
   PipelineRun pipeline_run = PipelineRun::kStaged;
   /// Override the workflow (0 keeps the calibrated default).
   int map_iterations = 0;
@@ -153,7 +140,7 @@ struct JobResult {
   std::map<std::string, double> fault_counters;
   /// Plan/execute statistics of the representative rank's pipeline
   /// ("plan_cache_hits", "transfers_avoided", "peak_mapped_bytes", ...).
-  /// Empty when cfg.interpret is set.
+  /// Empty for PipelineRun::kInterpreted.
   std::map<std::string, double> plan_counters;
   /// Kernels that degraded to their CPU implementation mid-run.
   std::vector<std::string> degraded_kernels;

@@ -54,7 +54,7 @@ core::Pipeline make_mapmaking_pipeline(const WorkflowConfig& cfg) {
 }
 
 core::Pipeline make_benchmark_pipeline(const WorkflowConfig& cfg,
-                                       core::Pipeline::Staging staging) {
+                                       config::Staging staging) {
   OpList ops;
   kernels::TemplateOffsetConfig tpl{cfg.offset_step_length};
 

@@ -26,7 +26,7 @@ struct WorkflowConfig {
 /// Build the full benchmark operator list (one pipeline).
 core::Pipeline make_benchmark_pipeline(
     const WorkflowConfig& cfg,
-    core::Pipeline::Staging staging = core::Pipeline::Staging::kPipelined);
+    config::Staging staging = config::Staging::kPipelined);
 
 /// Just the pointing expansion chain (pointing -> pixels -> weights).
 core::Pipeline make_pointing_pipeline(const WorkflowConfig& cfg);

@@ -148,25 +148,25 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
 /// The configured scheduling mode stepped `level` rungs down the
 /// "solver_comm" degradation ladder: overlap (0) -> sync (1) -> staged
 /// (2).  Level 0 is always the configured mode.
-AsyncComm ladder_mode(AsyncComm configured, int level) {
-  auto rung = [](AsyncComm m) {
+config::SolverComm ladder_mode(config::SolverComm configured, int level) {
+  auto rung = [](config::SolverComm m) {
     switch (m) {
-      case AsyncComm::kOverlap:
+      case config::SolverComm::kOverlap:
         return 0;
-      case AsyncComm::kSync:
+      case config::SolverComm::kSync:
         return 1;
-      case AsyncComm::kStaged:
+      case config::SolverComm::kStaged:
         return 2;
     }
     return 2;
   };
   switch (std::min(2, rung(configured) + level)) {
     case 0:
-      return AsyncComm::kOverlap;
+      return config::SolverComm::kOverlap;
     case 1:
-      return AsyncComm::kSync;
+      return config::SolverComm::kSync;
     default:
-      return AsyncComm::kStaged;
+      return config::SolverComm::kStaged;
   }
 }
 
@@ -213,12 +213,12 @@ void Destriper::charge_allreduce(core::ExecContext& ctx, double bytes,
       taskrt_->submit(comm_lane_, label, "comm", cost);
 }
 
-void Destriper::init_taskrt(core::ExecContext& ctx, AsyncComm mode) {
+void Destriper::init_taskrt(core::ExecContext& ctx, config::SolverComm mode) {
   taskrt_.reset();
   pending_.fill(async::Future{});
-  if (live_ranks_ > 1 && mode != AsyncComm::kStaged) {
+  if (live_ranks_ > 1 && mode != config::SolverComm::kStaged) {
     async::Options aopt;
-    aopt.mode = mode == AsyncComm::kOverlap ? async::Mode::kOverlap
+    aopt.mode = mode == config::SolverComm::kOverlap ? async::Mode::kOverlap
                                             : async::Mode::kSerial;
     taskrt_.emplace(ctx.clock(), &ctx.tracer(), aopt);
     comm_lane_ = taskrt_->lane("comm");
@@ -480,7 +480,7 @@ DestriperResult Destriper::solve(core::Observation& ob,
         ctx.faults().note_checkpoint_restore("destriper_cg", iter);
         if (rm.armed()) {
           rm.report_fault("solver_comm", "destriper_cg");
-          const AsyncComm target =
+          const config::SolverComm target =
               ladder_mode(config_.async_comm, rm.level("solver_comm"));
           if (target != active_comm_) {
             active_comm_ = target;

@@ -32,14 +32,6 @@
 
 namespace toast::solver {
 
-/// How the solver schedules its simulated collectives.  The canonical
-/// enum is the unified config layer's solver axis (kStaged = blocking
-/// charge at the call site, kSync = async engine in serial mode — the
-/// bitwise oracle, kOverlap = depth-1 pipelined CG collectives whose
-/// unhidden latency is charged as logged "*_wait" spans); the solver
-/// re-exports it under its historical name.
-using AsyncComm = config::SolverComm;
-
 struct DestriperConfig {
   std::int64_t nside = 64;
   std::int64_t step_length = 256;
@@ -69,7 +61,7 @@ struct DestriperConfig {
   /// the destriper always uses the engine for multi-rank solves).
   config::CommConfig comm;
   /// Collective scheduling mode (no effect with a single rank).
-  AsyncComm async_comm = AsyncComm::kStaged;
+  config::SolverComm async_comm = config::SolverComm::kStaged;
 
   /// Adopt the relevant axes of a full schedule-space config (collective
   /// algorithm + chunk bound, solver async-comm mode).
@@ -146,7 +138,7 @@ class Destriper {
   /// (Re)build the solve-scoped async runtime for `mode` — called at
   /// solve entry and whenever the "solver_comm" degradation ladder
   /// changes the effective scheduling mode mid-solve.
-  void init_taskrt(core::ExecContext& ctx, AsyncComm mode);
+  void init_taskrt(core::ExecContext& ctx, config::SolverComm mode);
 
   DestriperConfig config_;
   /// Solve-scoped async runtime (kSync/kOverlap with live_ranks_ > 1).
@@ -158,7 +150,7 @@ class Destriper {
   int live_ranks_ = 1;
   /// Effective scheduling mode of the current solve (the configured mode
   /// stepped down the "solver_comm" ladder: overlap -> sync -> staged).
-  AsyncComm active_comm_ = AsyncComm::kStaged;
+  config::SolverComm active_comm_ = config::SolverComm::kStaged;
 };
 
 }  // namespace toast::solver

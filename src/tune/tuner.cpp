@@ -204,10 +204,10 @@ AllreduceChoice best_allreduce_algorithm(const comm::Engine& engine,
                                          double bytes,
                                          const comm::RunOptions& opt) {
   AllreduceChoice choice;
-  constexpr comm::Algorithm kAlgorithms[] = {comm::Algorithm::kRing,
-                                             comm::Algorithm::kRecursive,
-                                             comm::Algorithm::kTree};
-  for (const comm::Algorithm a : kAlgorithms) {
+  constexpr config::CommAlgorithm kAlgorithms[] = {config::CommAlgorithm::kRing,
+                                             config::CommAlgorithm::kRecursive,
+                                             config::CommAlgorithm::kTree};
+  for (const config::CommAlgorithm a : kAlgorithms) {
     const double s = engine.allreduce_seconds(bytes, a, opt);
     choice.per_algorithm[config::to_string(a)] = s;
     if (s < choice.seconds) {

@@ -100,7 +100,7 @@ TuneReport tune_job(const mpisim::JobConfig& base, const SearchSpace& space,
 /// for one message size on one topology.  Strict `<` keeps the earliest
 /// algorithm in enum order (ring, recursive, tree) on ties.
 struct AllreduceChoice {
-  comm::Algorithm algorithm = comm::Algorithm::kRing;
+  config::CommAlgorithm algorithm = config::CommAlgorithm::kRing;
   double seconds = std::numeric_limits<double>::infinity();
   /// Modelled seconds per algorithm, keyed by to_string(algorithm).
   std::map<std::string, double> per_algorithm;

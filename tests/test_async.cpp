@@ -1,9 +1,10 @@
 // Tests of the async task-graph runtime (docs/MODEL.md §11): dependency
-// derivation from declared resource uses, the engine's two faces (serial
-// bitwise oracle, overlap placement with explicit wait charges), and
-// bitwise equivalence of lowered graph runs with staged plan replay —
-// including under a pinned launch-chaos plan that re-routes a group to
-// its patch tasks.
+// derivation from declared resource uses, the engine's incremental face
+// (serial bitwise oracle, overlap placement with explicit wait charges),
+// and the pipeline post-pass — run_plan_async bitwise against the
+// interpreter oracle, overlap re-timing under a pinned launch-chaos plan
+// that re-routes a group to its patch, and the executor degradation
+// ladder in both drives.
 
 #include "async/engine.hpp"
 
@@ -16,6 +17,7 @@
 #include "async/registry.hpp"
 #include "core/pipeline.hpp"
 #include "fault/fault.hpp"
+#include "resilience/policy.hpp"
 #include "kernels/jax.hpp"
 #include "sim/satellite.hpp"
 #include "sim/workflow.hpp"
@@ -47,33 +49,61 @@ struct RunResult {
   double runtime = 0.0;
   toast::accel::TimeLog log;
   core::Data data;
-  async::GraphReport report;  // task-graph runs only
+  async::GraphReport report;  // run_plan_async drives only
+  double planned = 0.0;       // observations that ran a compiled plan
 };
 
-RunResult run(Backend b, bool task_graph,
-              const fault::FaultPlan& fplan = {}) {
+enum class Drive {
+  kInterpreted,  ///< Pipeline::exec_interpreted (the oracle)
+  kStaged,       ///< Pipeline::exec
+  kSerial,       ///< async::run_plan_async, Mode::kSerial
+  kOverlap,      ///< async::run_plan_async, Mode::kOverlap
+};
+
+RunResult run(Backend b, Drive drive, const fault::FaultPlan& fplan = {},
+              const toast::resilience::Policy& policy = {}) {
   RunResult r;
   r.data = make_data();
   core::ExecConfig cfg;
   cfg.backend = b;
   cfg.fault_plan = fplan;
+  cfg.resilience_policy = policy;
   core::ExecContext ctx(cfg);
   toast::kernels::jax::clear_jit_caches();
   sim::WorkflowConfig wf;
   wf.nside = 32;
   wf.map_iterations = 2;
   auto pipeline = sim::make_benchmark_pipeline(wf);
-  if (task_graph) {
-    core::PlanStats stats;
-    for (auto& ob : r.data.observations) {
-      r.report.merge(async::run_plan_async(pipeline, ob, ctx, stats));
-    }
-  } else {
+  if (drive == Drive::kInterpreted) {
+    pipeline.exec_interpreted(r.data, ctx);
+  } else if (drive == Drive::kStaged) {
     pipeline.exec(r.data, ctx);
+  } else {
+    core::PlanStats stats;
+    async::Options opt;
+    opt.mode =
+        drive == Drive::kOverlap ? async::Mode::kOverlap : async::Mode::kSerial;
+    for (auto& ob : r.data.observations) {
+      r.report.merge(async::run_plan_async(pipeline, ob, ctx, stats, opt));
+    }
   }
   r.runtime = ctx.clock().now();
   r.log = ctx.log();
+  r.planned =
+      pipeline.plan_stats().cache_hits + pipeline.plan_stats().cache_misses;
   return r;
+}
+
+fault::FaultPlan launch_chaos_plan() {
+  // Persistent launch faults on scan_map: it degrades mid-run.
+  fault::FaultPlan fplan;
+  fplan.seed = 7;
+  fault::FaultRule rule;
+  rule.kind = fault::FaultKind::kLaunch;
+  rule.site = "scan_map";
+  rule.probability = 1.0;
+  fplan.rules.push_back(rule);
+  return fplan;
 }
 
 void expect_logs_equal(const toast::accel::TimeLog& a,
@@ -181,57 +211,41 @@ TEST(Engine, SerialSubmitChargesLikeTheBlockingCall) {
 }
 
 TEST(Engine, OverlapGraphRunPlacesAgainstDeps) {
-  // Hand-built graph: two independent 1s charges on different lanes plus
-  // a task depending on both.  The serial sum is 3s; the placed makespan
-  // overlaps the independent pair, landing the clock on 2s — while the
-  // functional order (and thus every charge the bodies make) stays the
-  // serial one.
-  auto build = [](accel::VirtualClock& clock) {
-    async::TaskGraph g;
-    g.lane_names = {"host", "compute"};
-    for (int i = 0; i < 3; ++i) {
-      async::Task t;
-      t.id = i;
-      t.name = "t" + std::to_string(i);
-      t.lane = i == 0 ? 0 : 1;
-      if (i == 2) {
-        t.lane = 0;
-        t.deps = {0, 1};
-      }
-      t.run = [&clock](bool) { clock.advance(1.0); };
-      g.tasks.push_back(std::move(t));
+  // Hand-built graph, run in id order: two independent 1s tasks on
+  // different lanes plus a task depending on both.  The serial sum is
+  // 3s; placement overlaps the independent pair for a 2s makespan.
+  async::TaskGraph g;
+  g.lane_names = {"host", "compute"};
+  std::vector<core::StepRecord> order;
+  for (int i = 0; i < 3; ++i) {
+    async::Task t;
+    t.id = i;
+    t.name = "t" + std::to_string(i);
+    t.lane = i == 1 ? 1 : 0;
+    if (i == 2) {
+      t.deps = {0, 1};
     }
-    async::TaskGroup all;
-    all.begin = 0;
-    all.body_begin = all.post_begin = all.tail_begin = all.end = 3;
-    g.groups.push_back(std::move(all));
-    return g;
-  };
+    t.start = static_cast<double>(i);
+    t.seconds = 1.0;
+    t.ran = true;
+    g.tasks.push_back(std::move(t));
+    order.push_back({core::StepRecord::kMain, i, static_cast<double>(i), 1.0});
+  }
+  const auto rep = async::graph_report(g);
+  EXPECT_EQ(rep.total_busy_s, 3.0);
+  EXPECT_EQ(rep.critical_path_s, 2.0);
 
-  accel::VirtualClock serial_clock;
-  obs::Tracer serial_tracer(&serial_clock);
-  async::Engine serial(serial_clock, &serial_tracer);
-  auto sg = build(serial_clock);
-  const auto srep = serial.run(sg);
-  EXPECT_EQ(serial_clock.now(), 3.0);
-  EXPECT_EQ(srep.makespan_s, 3.0);
-
-  accel::VirtualClock clock;
-  obs::Tracer tracer(&clock);
-  async::Options opt;
-  opt.mode = async::Mode::kOverlap;
-  async::Engine eng(clock, &tracer, opt);
-  auto g = build(clock);
-  const auto rep = eng.run(g);
-  // Busy time (the TimeLog view) is unchanged; the clock lands on the
-  // placed makespan: t0 and t1 overlap, t2 waits for both.
-  EXPECT_EQ(rep.total_busy_s, srep.total_busy_s);
-  EXPECT_EQ(rep.makespan_s, 2.0);
-  EXPECT_EQ(clock.now(), 2.0);
+  EXPECT_EQ(async::place_overlap(g, order, 0.0), 2.0);
   // Placed times: t1 starts at 0 on its own lane, t2 at max(dep ends).
   EXPECT_EQ(g.tasks[0].start, 0.0);
   EXPECT_EQ(g.tasks[1].start, 0.0);
   EXPECT_EQ(g.tasks[2].start, 1.0);
+
+  // A barrier after t0 (a patch boundary) serializes t1 behind it.
+  order.insert(order.begin() + 1, core::StepRecord{core::StepRecord::kBarrier});
+  EXPECT_EQ(async::place_overlap(g, order, 0.0), 3.0);
+  EXPECT_EQ(g.tasks[1].start, 1.0);
+  EXPECT_EQ(g.tasks[2].start, 2.0);
 }
 
 // --- overlap face: placement and wait charges --------------------------------
@@ -308,15 +322,15 @@ TEST(Engine, OverlapReplayIsBitwiseDeterministic) {
   EXPECT_EQ(episode(), episode());
 }
 
-// --- lowered graph vs staged replay ------------------------------------------
+// --- the pipeline post-pass --------------------------------------------------
 
-TEST(AsyncLowering, SerialGraphRunMatchesStagedReplayBitwise) {
-  const auto staged = run(Backend::kOmpTarget, false);
-  const auto graph = run(Backend::kOmpTarget, true);
-  EXPECT_EQ(graph.runtime, staged.runtime);
-  expect_logs_equal(graph.log, staged.log);
-  expect_fields_equal(graph.data, staged.data, "signal");
-  expect_fields_equal(graph.data, staged.data, "zmap");
+TEST(AsyncLowering, SerialRunMatchesInterpreterBitwise) {
+  const auto interp = run(Backend::kOmpTarget, Drive::kInterpreted);
+  const auto graph = run(Backend::kOmpTarget, Drive::kSerial);
+  EXPECT_EQ(graph.runtime, interp.runtime);
+  expect_logs_equal(graph.log, interp.log);
+  expect_fields_equal(graph.data, interp.data, "signal");
+  expect_fields_equal(graph.data, interp.data, "zmap");
 
   // And the report sees real graph structure.
   EXPECT_GT(graph.report.n_tasks, 0);
@@ -328,23 +342,48 @@ TEST(AsyncLowering, SerialGraphRunMatchesStagedReplayBitwise) {
   EXPECT_LT(graph.report.overlap_fraction, 1.0);
 }
 
-TEST(AsyncLowering, GraphRunMatchesStagedReplayUnderLaunchChaos) {
-  // A pinned launch-fault plan forces scan_map to degrade mid-run: the
-  // graph must take the same decide/attempt/patch route as staged replay
-  // and stay bitwise identical.
-  fault::FaultPlan fplan;
-  fplan.seed = 7;
-  fault::FaultRule rule;
-  rule.kind = fault::FaultKind::kLaunch;
-  rule.site = "scan_map";
-  rule.probability = 1.0;
-  fplan.rules.push_back(rule);
-
-  const auto staged = run(Backend::kOmpTarget, false, fplan);
-  const auto graph = run(Backend::kOmpTarget, true, fplan);
-  EXPECT_EQ(graph.runtime, staged.runtime);
-  expect_logs_equal(graph.log, staged.log);
-  expect_fields_equal(graph.data, staged.data, "signal");
-  expect_fields_equal(graph.data, staged.data, "zmap");
+TEST(AsyncLowering, SerialRunMatchesInterpreterUnderLaunchChaos) {
+  // scan_map degrades mid-run: the driver's dispatch/recovery/patch route
+  // must land where the interpreter's inline fallback does.
+  const auto interp =
+      run(Backend::kOmpTarget, Drive::kInterpreted, launch_chaos_plan());
+  const auto graph =
+      run(Backend::kOmpTarget, Drive::kSerial, launch_chaos_plan());
+  EXPECT_EQ(graph.runtime, interp.runtime);
+  expect_logs_equal(graph.log, interp.log);
+  expect_fields_equal(graph.data, interp.data, "signal");
+  expect_fields_equal(graph.data, interp.data, "zmap");
   EXPECT_GT(graph.report.patched, 0);  // the degrade re-routed to patches
+}
+
+TEST(AsyncLowering, OverlapRunKeepsStagedResultsUnderLaunchChaos) {
+  // Overlap only re-times: products and TimeLog stay the staged run's
+  // through the mid-run degrade, and the placed clock is never later.
+  const auto staged =
+      run(Backend::kOmpTarget, Drive::kStaged, launch_chaos_plan());
+  const auto overlap =
+      run(Backend::kOmpTarget, Drive::kOverlap, launch_chaos_plan());
+  expect_logs_equal(overlap.log, staged.log);
+  expect_fields_equal(overlap.data, staged.data, "signal");
+  expect_fields_equal(overlap.data, staged.data, "zmap");
+  EXPECT_GT(overlap.report.patched, 0);
+  EXPECT_LE(overlap.runtime, staged.runtime);
+}
+
+TEST(AsyncLowering, ExecutorLadderRunsTheInterpreterInBothDrives) {
+  // One reported executor fault escalates the "executor" ladder: every
+  // later observation runs on the interpreter, in either drive, with
+  // the products of the same run without the ladder.
+  toast::resilience::Policy ladder;
+  ladder.ladders.push_back(toast::resilience::LadderSpec{"executor", 1, 1});
+  const auto plain =
+      run(Backend::kOmpTarget, Drive::kStaged, launch_chaos_plan());
+  EXPECT_EQ(plain.planned, 2.0);  // both observations ran a plan
+  for (const Drive drive : {Drive::kStaged, Drive::kOverlap}) {
+    const auto laddered =
+        run(Backend::kOmpTarget, drive, launch_chaos_plan(), ladder);
+    EXPECT_EQ(laddered.planned, 1.0);  // obs1 ran on the interpreter
+    expect_fields_equal(laddered.data, plain.data, "signal");
+    expect_fields_equal(laddered.data, plain.data, "zmap");
+  }
 }

@@ -20,6 +20,7 @@ namespace accel = toast::accel;
 namespace comm = toast::comm;
 namespace fault = toast::fault;
 namespace obs = toast::obs;
+using toast::config::CommAlgorithm;
 using toast::mpisim::LocalComm;
 
 namespace {
@@ -147,7 +148,7 @@ TEST(EngineOracle, RingAllreduceEqualsCommModelBitwise) {
   for (const int ranks : {2, 3, 4, 5, 8, 16, 32, 64, 128}) {
     const comm::Engine engine(comm::Topology::uniform(ranks));
     for (const double bytes : {8.0, 8.0e3, 1.0e6, 75497472.0}) {
-      EXPECT_EQ(engine.allreduce_seconds(bytes, comm::Algorithm::kRing),
+      EXPECT_EQ(engine.allreduce_seconds(bytes, CommAlgorithm::kRing),
                 model.allreduce_seconds(bytes, ranks))
           << "ranks=" << ranks << " bytes=" << bytes;
     }
@@ -199,8 +200,8 @@ TEST(EngineAlgorithms, RecursiveHalvingBeatsRingLatency) {
   for (const int ranks : {4, 16, 64}) {
     const comm::Engine engine(comm::Topology::uniform(ranks));
     for (const double bytes : {8.0e3, 1.0e6, 75497472.0}) {
-      EXPECT_LE(engine.allreduce_seconds(bytes, comm::Algorithm::kRecursive),
-                engine.allreduce_seconds(bytes, comm::Algorithm::kRing))
+      EXPECT_LE(engine.allreduce_seconds(bytes, CommAlgorithm::kRecursive),
+                engine.allreduce_seconds(bytes, CommAlgorithm::kRing))
           << "ranks=" << ranks << " bytes=" << bytes;
     }
   }
@@ -211,12 +212,12 @@ TEST(EngineAlgorithms, TreeWinsAtSmallMessages) {
   // the tree once n > 2.
   for (const int ranks : {4, 16, 64}) {
     const comm::Engine engine(comm::Topology::uniform(ranks));
-    EXPECT_LT(engine.allreduce_seconds(8.0, comm::Algorithm::kTree),
-              engine.allreduce_seconds(8.0, comm::Algorithm::kRing))
+    EXPECT_LT(engine.allreduce_seconds(8.0, CommAlgorithm::kTree),
+              engine.allreduce_seconds(8.0, CommAlgorithm::kRing))
         << "ranks=" << ranks;
     // ...and loses at bandwidth-bound large messages.
-    EXPECT_GT(engine.allreduce_seconds(75497472.0, comm::Algorithm::kTree),
-              engine.allreduce_seconds(75497472.0, comm::Algorithm::kRing))
+    EXPECT_GT(engine.allreduce_seconds(75497472.0, CommAlgorithm::kTree),
+              engine.allreduce_seconds(75497472.0, CommAlgorithm::kRing))
         << "ranks=" << ranks;
   }
 }
@@ -228,16 +229,16 @@ TEST(EngineAlgorithms, SharedNicsContendOnClusterTopology) {
   const double bytes = 75497472.0;
   const comm::Engine uniform(comm::Topology::uniform(64));
   const comm::Engine cluster(comm::Topology::cluster(64, 16));
-  EXPECT_GT(cluster.allreduce_seconds(bytes, comm::Algorithm::kRecursive),
-            uniform.allreduce_seconds(bytes, comm::Algorithm::kRecursive));
+  EXPECT_GT(cluster.allreduce_seconds(bytes, CommAlgorithm::kRecursive),
+            uniform.allreduce_seconds(bytes, CommAlgorithm::kRecursive));
 }
 
 TEST(EngineAlgorithms, IntraNodeLinkIsFasterThanNic) {
   // All 8 ranks on one node: every step rides the shared-memory link.
   const comm::Engine packed(comm::Topology::cluster(8, 8));
   const comm::Engine spread(comm::Topology::uniform(8));
-  EXPECT_LT(packed.allreduce_seconds(1.0e6, comm::Algorithm::kRing),
-            spread.allreduce_seconds(1.0e6, comm::Algorithm::kRing));
+  EXPECT_LT(packed.allreduce_seconds(1.0e6, CommAlgorithm::kRing),
+            spread.allreduce_seconds(1.0e6, CommAlgorithm::kRing));
 }
 
 // --- functional payloads ----------------------------------------------------
@@ -249,15 +250,15 @@ TEST(EnginePayload, AllreduceMatchesLocalCommForAllAlgorithms) {
     const auto expected = LocalComm(ranks).allreduce_sum(bufs);
     const comm::Engine engine(comm::Topology::uniform(ranks));
     for (const auto alg :
-         {comm::Algorithm::kRing, comm::Algorithm::kRecursive,
-          comm::Algorithm::kTree}) {
+         {CommAlgorithm::kRing, CommAlgorithm::kRecursive,
+          CommAlgorithm::kTree}) {
       const auto out = engine.allreduce(bufs, alg);
       ASSERT_EQ(out.size(), bufs.size());
       for (int r = 0; r < ranks; ++r) {
         ASSERT_EQ(out[static_cast<std::size_t>(r)].size(), m);
         for (std::size_t i = 0; i < m; ++i) {
           EXPECT_EQ(out[static_cast<std::size_t>(r)][i], expected[i])
-              << "alg=" << comm::to_string(alg) << " ranks=" << ranks
+              << "alg=" << toast::config::to_string(alg) << " ranks=" << ranks
               << " rank=" << r << " i=" << i;
         }
       }
@@ -270,7 +271,7 @@ TEST(EnginePayload, ClusterTopologyDoesNotChangeValues) {
   const auto bufs = rank_buffers(ranks, 16);
   const auto expected = LocalComm(ranks).allreduce_sum(bufs);
   const comm::Engine engine(comm::Topology::cluster(ranks, 16));
-  const auto out = engine.allreduce(bufs, comm::Algorithm::kRecursive);
+  const auto out = engine.allreduce(bufs, CommAlgorithm::kRecursive);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(out[31][i], expected[i]);
   }
@@ -328,7 +329,7 @@ TEST(EngineTrace, InterNodeStepsLandOnNicLanes) {
   comm::RunOptions opt;
   opt.tracer = &tracer;
   opt.lane_base = 16;
-  const double t = engine.allreduce_seconds(1.0e6, comm::Algorithm::kRing, opt);
+  const double t = engine.allreduce_seconds(1.0e6, CommAlgorithm::kRing, opt);
   EXPECT_GT(t, 0.0);
   // 2(n-1) rounds x n ranks of chunk spans, all unlogged, on NIC lanes.
   int lane_spans = 0;
@@ -354,10 +355,10 @@ TEST(EngineTrace, IntraNodeStepsTracedOnlyOnRequest) {
   const comm::Engine engine(comm::Topology::cluster(4, 4));  // one node
   comm::RunOptions opt;
   opt.tracer = &tracer;
-  engine.allreduce_seconds(1.0e6, comm::Algorithm::kRing, opt);
+  engine.allreduce_seconds(1.0e6, CommAlgorithm::kRing, opt);
   EXPECT_TRUE(tracer.spans().empty());
   opt.trace_intra = true;
-  engine.allreduce_seconds(1.0e6, comm::Algorithm::kRing, opt);
+  engine.allreduce_seconds(1.0e6, CommAlgorithm::kRing, opt);
   EXPECT_FALSE(tracer.spans().empty());
 }
 
@@ -370,7 +371,7 @@ TEST(EngineFaults, ZeroFaultPlanIsBitForBitIdentical) {
   fault::FaultInjector disarmed;  // empty plan: hooks are no-ops
   comm::RunOptions opt;
   opt.faults = &disarmed;
-  EXPECT_EQ(engine.allreduce_seconds(1.0e6, comm::Algorithm::kRing, opt),
+  EXPECT_EQ(engine.allreduce_seconds(1.0e6, CommAlgorithm::kRing, opt),
             clean);
   EXPECT_TRUE(disarmed.counters().empty());
 }
@@ -384,7 +385,7 @@ TEST(EngineFaults, LinkDegradeSlowsDeterministically) {
   fault::FaultInjector inj_a(link_plan(0.5, 3.0), &clock, &tracer);
   comm::RunOptions opt;
   opt.faults = &inj_a;
-  const double slow_a = engine.allreduce_seconds(1.0e6, comm::Algorithm::kRing,
+  const double slow_a = engine.allreduce_seconds(1.0e6, CommAlgorithm::kRing,
                                                  opt);
   EXPECT_GT(slow_a, clean);
   EXPECT_GT(inj_a.counters().at("fault_link_degrades"), 0.0);
@@ -392,7 +393,7 @@ TEST(EngineFaults, LinkDegradeSlowsDeterministically) {
   // Same seed, fresh injector: bit-identical makespan.
   fault::FaultInjector inj_b(link_plan(0.5, 3.0), &clock, &tracer);
   opt.faults = &inj_b;
-  EXPECT_EQ(engine.allreduce_seconds(1.0e6, comm::Algorithm::kRing, opt),
+  EXPECT_EQ(engine.allreduce_seconds(1.0e6, CommAlgorithm::kRing, opt),
             slow_a);
 }
 
@@ -406,7 +407,7 @@ TEST(EngineFaults, ChunkLossChargesRetriesOnTheLanes) {
   comm::RunOptions opt;
   opt.faults = &inj;
   const double lossy =
-      engine.allreduce_seconds(1.0e6, comm::Algorithm::kRing, opt);
+      engine.allreduce_seconds(1.0e6, CommAlgorithm::kRing, opt);
   EXPECT_GT(lossy, clean);
   EXPECT_GT(inj.counters().at("fault_chunk_retries"), 0.0);
   // The retry spans are in the trace.
@@ -426,7 +427,7 @@ TEST(EngineFaults, PersistentChunkLossThrows) {
   fault::FaultInjector inj(chunk_plan(1.0), &clock, &tracer);
   comm::RunOptions opt;
   opt.faults = &inj;
-  EXPECT_THROW(engine.allreduce_seconds(1.0e6, comm::Algorithm::kRing, opt),
+  EXPECT_THROW(engine.allreduce_seconds(1.0e6, CommAlgorithm::kRing, opt),
                fault::PersistentFaultError);
   EXPECT_GT(inj.counters().at("fault_persistent"), 0.0);
 }

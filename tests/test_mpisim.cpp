@@ -177,7 +177,7 @@ TEST(JobModel, MpsOffCapsOversubscription) {
 TEST(JobModel, StagingBeatsNaive) {
   auto staged = medium_cfg(Backend::kOmpTarget, 16);
   auto naive = medium_cfg(Backend::kOmpTarget, 16);
-  naive.schedule.staging.mode = core::Pipeline::Staging::kNaive;
+  naive.schedule.staging.mode = config::Staging::kNaive;
   const auto a = run_benchmark_job(staged);
   const auto b = run_benchmark_job(naive);
   EXPECT_GT(b.runtime, 1.2 * a.runtime);
@@ -229,7 +229,7 @@ TEST(JobModel, NetworkSpecPlumbsThroughJobConfig) {
 
 TEST(JobModel, EngineCommModeIsDeterministicAndTraced) {
   auto cfg = medium_cfg(Backend::kCpu, 16);
-  cfg.schedule.comm.mode = mpisim::CommMode::kEngine;
+  cfg.schedule.comm.mode = config::CommMode::kEngine;
   const auto a = run_benchmark_job(cfg);
   const auto b = run_benchmark_job(cfg);
   ASSERT_FALSE(a.oom);

@@ -15,6 +15,7 @@
 #include "sim/satellite.hpp"
 #include "sim/workflow.hpp"
 
+namespace config = toast::config;
 namespace core = toast::core;
 namespace sim = toast::sim;
 using core::Backend;
@@ -42,8 +43,8 @@ core::ExecContext make_ctx(Backend b) {
 }
 
 core::Data run_workflow(Backend b,
-                        core::Pipeline::Staging staging =
-                            core::Pipeline::Staging::kPipelined) {
+                        config::Staging staging =
+                            config::Staging::kPipelined) {
   auto data = make_data();
   auto ctx = make_ctx(b);
   toast::kernels::jax::clear_jit_caches();
@@ -149,9 +150,9 @@ TEST(PipelineEquivalence, CompiledExecutorMatchesInterpreterOracle) {
 
 TEST(PipelineEquivalence, NaiveStagingSameResults) {
   const auto a = run_workflow(Backend::kOmpTarget,
-                              core::Pipeline::Staging::kPipelined);
+                              config::Staging::kPipelined);
   const auto b =
-      run_workflow(Backend::kOmpTarget, core::Pipeline::Staging::kNaive);
+      run_workflow(Backend::kOmpTarget, config::Staging::kNaive);
   for (const char* field : {"signal", "zmap", "amplitudes"}) {
     expect_fields_equal(a, b, field);
   }
@@ -207,9 +208,9 @@ TEST(PipelineStaging, NaiveMovesMuchMoreData) {
   wf.nside = 16;
   wf.map_iterations = 3;
   auto staged = sim::make_benchmark_pipeline(
-      wf, core::Pipeline::Staging::kPipelined);
+      wf, config::Staging::kPipelined);
   auto naive =
-      sim::make_benchmark_pipeline(wf, core::Pipeline::Staging::kNaive);
+      sim::make_benchmark_pipeline(wf, config::Staging::kNaive);
   staged.exec(d1, a);
   naive.exec(d2, b);
   EXPECT_GT(b.log().calls("accel_data_update_device"),

@@ -13,6 +13,7 @@
 #include "sim/satellite.hpp"
 #include "sim/workflow.hpp"
 
+namespace config = toast::config;
 namespace core = toast::core;
 namespace sim = toast::sim;
 namespace fault = toast::fault;
@@ -42,7 +43,7 @@ core::ExecContext make_ctx(Backend b,
 }
 
 core::Pipeline make_pipeline(
-    core::Pipeline::Staging staging = core::Pipeline::Staging::kPipelined) {
+    config::Staging staging = config::Staging::kPipelined) {
   sim::WorkflowConfig wf;
   wf.nside = 32;
   wf.map_iterations = 2;
@@ -55,17 +56,13 @@ struct RunResult {
   core::Data data;
 };
 
-RunResult run(Backend b, core::Pipeline::Staging staging, bool interpret,
-              const fault::FaultPlan& fplan = {},
-              const core::PlanOptions* popt = nullptr) {
+RunResult run(Backend b, config::Staging staging, bool interpret,
+              const fault::FaultPlan& fplan = {}) {
   RunResult r;
   r.data = make_data();
   auto ctx = make_ctx(b, fplan);
   toast::kernels::jax::clear_jit_caches();
   auto pipeline = make_pipeline(staging);
-  if (popt != nullptr) {
-    pipeline.set_plan_options(*popt);
-  }
   if (interpret) {
     pipeline.exec_interpreted(r.data, ctx);
   } else {
@@ -126,9 +123,9 @@ class GhostProvidesOp final : public core::Operator {
 
 TEST(PlanEquivalence, SyncPlanMatchesInterpreterPipelined) {
   const auto plan =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kPipelined, false);
+      run(Backend::kOmpTarget, config::Staging::kPipelined, false);
   const auto interp =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kPipelined, true);
+      run(Backend::kOmpTarget, config::Staging::kPipelined, true);
   EXPECT_EQ(plan.runtime, interp.runtime);
   expect_logs_equal(plan.log, interp.log);
   expect_fields_equal(plan.data, interp.data, "signal");
@@ -137,9 +134,9 @@ TEST(PlanEquivalence, SyncPlanMatchesInterpreterPipelined) {
 
 TEST(PlanEquivalence, SyncPlanMatchesInterpreterNaive) {
   const auto plan =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kNaive, false);
+      run(Backend::kOmpTarget, config::Staging::kNaive, false);
   const auto interp =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kNaive, true);
+      run(Backend::kOmpTarget, config::Staging::kNaive, true);
   EXPECT_EQ(plan.runtime, interp.runtime);
   expect_logs_equal(plan.log, interp.log);
   expect_fields_equal(plan.data, interp.data, "signal");
@@ -147,9 +144,9 @@ TEST(PlanEquivalence, SyncPlanMatchesInterpreterNaive) {
 
 TEST(PlanEquivalence, SyncPlanMatchesInterpreterJax) {
   const auto plan =
-      run(Backend::kJax, core::Pipeline::Staging::kPipelined, false);
+      run(Backend::kJax, config::Staging::kPipelined, false);
   const auto interp =
-      run(Backend::kJax, core::Pipeline::Staging::kPipelined, true);
+      run(Backend::kJax, config::Staging::kPipelined, true);
   EXPECT_EQ(plan.runtime, interp.runtime);
   expect_logs_equal(plan.log, interp.log);
 }
@@ -171,16 +168,16 @@ TEST(PlanFaults, NaiveStagingSurvivesTransferFaults) {
   fplan.rules.push_back(rule);
 
   const auto chaotic =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kNaive, false, fplan);
+      run(Backend::kOmpTarget, config::Staging::kNaive, false, fplan);
   const auto clean =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kNaive, false);
+      run(Backend::kOmpTarget, config::Staging::kNaive, false);
   expect_fields_equal(chaotic.data, clean.data, "signal");
   expect_fields_equal(chaotic.data, clean.data, "zmap");
   EXPECT_GT(chaotic.runtime, clean.runtime);  // retries cost virtual time
 
   // And the planned chaos run still matches the interpreter bit for bit.
   const auto interp =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kNaive, true, fplan);
+      run(Backend::kOmpTarget, config::Staging::kNaive, true, fplan);
   EXPECT_EQ(chaotic.runtime, interp.runtime);
   expect_logs_equal(chaotic.log, interp.log);
 }
@@ -234,7 +231,7 @@ TEST(PlanFaults, MidRunDegradeCountsReplans) {
   EXPECT_GT(counters.at("fault_plan_replans"), 0.0);
 
   const auto clean =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kPipelined, false);
+      run(Backend::kOmpTarget, config::Staging::kPipelined, false);
   expect_fields_equal(data, clean.data, "zmap");
 }
 
@@ -262,9 +259,9 @@ TEST(PlanCache, HitOnSecondObservationMissAfterOptionsChange) {
   EXPECT_EQ(pipeline.plan_stats().cache_misses, 1.0);
   EXPECT_EQ(pipeline.plan_stats().cache_hits, 1.0);  // same field layout
 
-  core::PlanOptions popt;
-  popt.prefetch = true;
-  pipeline.set_plan_options(popt);  // clears the cache
+  auto schedule = pipeline.schedule();
+  schedule.staging.prefetch = true;
+  pipeline.set_schedule(schedule);  // clears the cache
   auto data2 = make_data(2);
   pipeline.exec(data2, ctx);
   EXPECT_EQ(pipeline.plan_stats().cache_misses, 2.0);
@@ -273,9 +270,9 @@ TEST(PlanCache, HitOnSecondObservationMissAfterOptionsChange) {
 
 TEST(PlanCache, SameSeedTwiceIsBitwiseDeterministic) {
   const auto a =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kPipelined, false);
+      run(Backend::kOmpTarget, config::Staging::kPipelined, false);
   const auto b =
-      run(Backend::kOmpTarget, core::Pipeline::Staging::kPipelined, false);
+      run(Backend::kOmpTarget, config::Staging::kPipelined, false);
   EXPECT_EQ(a.runtime, b.runtime);
   expect_logs_equal(a.log, b.log);
   expect_fields_equal(a.data, b.data, "signal");
@@ -287,8 +284,8 @@ TEST(PlanCache, SameSeedTwiceIsBitwiseDeterministic) {
 TEST(PlanStructure, PipelinedAvoidsTransfersNaiveDoesNot) {
   auto data = make_data(1);
   auto ctx = make_ctx(Backend::kOmpTarget);
-  auto pipelined = make_pipeline(core::Pipeline::Staging::kPipelined);
-  auto naive = make_pipeline(core::Pipeline::Staging::kNaive);
+  auto pipelined = make_pipeline(config::Staging::kPipelined);
+  auto naive = make_pipeline(config::Staging::kNaive);
   const auto p = pipelined.plan_for(data.observations.front(), ctx);
   const auto n = naive.plan_for(data.observations.front(), ctx);
   EXPECT_GT(p->transfers_avoided, 0);
@@ -303,9 +300,9 @@ TEST(PlanStructure, PrefetchHoistsOnlyFieldsTheCurrentOpDoesNotTouch) {
   auto data = make_data(1);
   auto ctx = make_ctx(Backend::kOmpTarget);
   auto pipeline = make_pipeline();
-  core::PlanOptions popt;
-  popt.prefetch = true;
-  pipeline.set_plan_options(popt);
+  auto schedule = pipeline.schedule();
+  schedule.staging.prefetch = true;
+  pipeline.set_schedule(schedule);
   const auto plan = pipeline.plan_for(data.observations.front(), ctx);
   const auto& meta = pipeline.metadata();
   EXPECT_GT(plan->prefetch_uploads, 0);
@@ -332,9 +329,6 @@ TEST(PlanStructure, PrefetchHoistsOnlyFieldsTheCurrentOpDoesNotTouch) {
 }
 
 TEST(PlanStructure, PrefetchAndEvictPreserveProductsAndLowerFootprint) {
-  core::PlanOptions popt;
-  popt.prefetch = true;
-  popt.evict = true;
 
   auto base_data = make_data();
   auto base_ctx = make_ctx(Backend::kOmpTarget);
@@ -344,7 +338,10 @@ TEST(PlanStructure, PrefetchAndEvictPreserveProductsAndLowerFootprint) {
   auto opt_data = make_data();
   auto opt_ctx = make_ctx(Backend::kOmpTarget);
   auto opt_pipeline = make_pipeline();
-  opt_pipeline.set_plan_options(popt);
+  auto schedule = opt_pipeline.schedule();
+  schedule.staging.prefetch = true;
+  schedule.staging.evict = true;
+  opt_pipeline.set_schedule(schedule);
   opt_pipeline.exec(opt_data, opt_ctx);
 
   expect_fields_equal(base_data, opt_data, "signal");

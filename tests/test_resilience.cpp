@@ -371,7 +371,7 @@ struct SolveOut {
 };
 
 SolveOut destriper_solve(const FaultPlan& plan, const Policy& policy,
-                         toast::solver::AsyncComm comm_mode) {
+                         toast::config::SolverComm comm_mode) {
   const auto fp = sim::hex_focalplane(3, 37.0, 10.0, 50e-6);
   sim::ScanParams scan;
   scan.spin_period = 60.0;
@@ -424,9 +424,9 @@ TEST(ResilienceElastic, DestriperWorldShrinkMatchesCleanSolve) {
   plan.rules = {FaultRule{FaultKind::kRankFailure, "destriper_cg", 1.0, 3}};
 
   const SolveOut clean = destriper_solve(FaultPlan{}, Policy{},
-                                         toast::solver::AsyncComm::kStaged);
+                                         toast::config::SolverComm::kStaged);
   const SolveOut chaos = destriper_solve(plan, elastic_policy(2),
-                                         toast::solver::AsyncComm::kStaged);
+                                         toast::config::SolverComm::kStaged);
 
   // The exhausted restore budget dropped a rank instead of giving up.
   EXPECT_DOUBLE_EQ(
@@ -450,9 +450,9 @@ TEST(ResilienceElastic, ShrinkDecisionsRepeatBitwise) {
   plan.rules = {FaultRule{FaultKind::kRankFailure, "destriper_cg", 0.6, 5}};
 
   const SolveOut a = destriper_solve(plan, elastic_policy(2),
-                                     toast::solver::AsyncComm::kOverlap);
+                                     toast::config::SolverComm::kOverlap);
   const SolveOut b = destriper_solve(plan, elastic_policy(2),
-                                     toast::solver::AsyncComm::kOverlap);
+                                     toast::config::SolverComm::kOverlap);
   EXPECT_EQ(a.clock_end, b.clock_end);
   EXPECT_EQ(a.fault_counters, b.fault_counters);
   EXPECT_EQ(a.resilience_counters, b.resilience_counters);
@@ -468,9 +468,9 @@ TEST(ResilienceElastic, EmptyPolicyIsBitForBitIdentical) {
   const Policy parsed_empty =
       Policy::parse(R"({"schema": "toastcase-resilience-policy-v1"})");
   const SolveOut a = destriper_solve(plan, Policy{},
-                                     toast::solver::AsyncComm::kOverlap);
+                                     toast::config::SolverComm::kOverlap);
   const SolveOut b = destriper_solve(plan, parsed_empty,
-                                     toast::solver::AsyncComm::kOverlap);
+                                     toast::config::SolverComm::kOverlap);
   EXPECT_EQ(a.clock_end, b.clock_end);
   EXPECT_EQ(a.fault_counters, b.fault_counters);
   EXPECT_EQ(a.amplitudes, b.amplitudes);

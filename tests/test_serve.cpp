@@ -90,7 +90,7 @@ TEST(ServeSpec, ParsesFullDocument) {
   EXPECT_EQ(spec.jobs[0].priority, 7);
   EXPECT_DOUBLE_EQ(spec.jobs[0].submit_s, 1.5);
   EXPECT_EQ(spec.jobs[0].seed, 42u);
-  EXPECT_EQ(spec.jobs[0].pipeline, toast::mpisim::PipelineRun::kGraphOverlap);
+  EXPECT_EQ(spec.jobs[0].pipeline, toast::mpisim::PipelineRun::kOverlap);
   EXPECT_TRUE(spec.jobs[1].has_schedule);
   EXPECT_EQ(spec.jobs[1].schedule.backend, "omp-target");
   EXPECT_FALSE(spec.jobs[1].schedule.device.mps);
@@ -167,6 +167,17 @@ TEST(ServeSpec, ValidatesCrossReferencesAndRanges) {
   reject(R"({"schema": "toastcase-serve-v1",
              "tenants": [{"name": "a"}],
              "jobs": [{"name": "j", "tenant": "a", "pipeline": "async"}]})");
+  // The retired serial task-graph drive is rejected like any bad value.
+  try {
+    ServiceSpec::parse(R"({"schema": "toastcase-serve-v1",
+        "tenants": [{"name": "a"}],
+        "jobs": [{"name": "j", "tenant": "a", "pipeline": "graph"}]})");
+    ADD_FAILURE() << "\"pipeline\": \"graph\" was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("must be staged|overlap"),
+              std::string::npos)
+        << e.what();
+  }
   reject(R"({"schema": "toastcase-serve-v1",
              "tenants": [{"name": "a"}],
              "jobs": [{"name": "j", "tenant": "a", "submit_s": -1.0}]})");

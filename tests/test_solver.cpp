@@ -239,7 +239,7 @@ TEST(Destriper, AsyncSerialCommIsBitwiseStaged) {
   auto sync = make_scenario(33);
   sync.cfg.comm_ranks = 4;
   sync.cfg.comm_ranks_per_node = 2;
-  sync.cfg.async_comm = toast::solver::AsyncComm::kSync;
+  sync.cfg.async_comm = toast::config::SolverComm::kSync;
   core::ExecContext ctx_sync(ec);
   const auto r_sync =
       Destriper(sync.cfg).solve(sync.ob, ctx_sync, Backend::kCpu);
@@ -274,7 +274,7 @@ TEST(Destriper, AsyncOverlapHidesCollectivesKeepsProducts) {
   auto ov = make_scenario(33);
   ov.cfg.comm_ranks = 4;
   ov.cfg.comm_ranks_per_node = 2;
-  ov.cfg.async_comm = toast::solver::AsyncComm::kOverlap;
+  ov.cfg.async_comm = toast::config::SolverComm::kOverlap;
   core::ExecContext ctx_ov(ec);
   const auto r_ov = Destriper(ov.cfg).solve(ov.ob, ctx_ov, Backend::kCpu);
 
