@@ -453,6 +453,22 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
 
 int main(int argc, char** argv) {
   const auto opt = toast::bench::parse_options(argc, argv);
+  // Chaos parity: the pinned plan (or --faults) must hit both executors
+  // identically.  Loaded before any timed row runs, so a bad artifact
+  // exits 2 at once.
+  toast::fault::FaultPlan plan;
+  std::string plan_name = "builtin_launch_persistent";
+  if (!opt.faults_path.empty()) {
+    plan = toast::bench::load_artifact(argv[0], opt.faults_path,
+                                       toast::fault::FaultPlan::load_file);
+    plan_name = opt.faults_path;
+  } else {
+    plan.seed = 7;
+    toast::fault::FaultRule rule;
+    rule.kind = toast::fault::FaultKind::kLaunch;
+    rule.probability = 1.0;
+    plan.rules.push_back(rule);
+  }
   toast::bench::print_header(
       "Executor: interpreter vs compiled fused loops (real wall clock)");
   std::printf("%-24s %12s %12s %8s\n", "workload", "interpreted",
@@ -467,21 +483,6 @@ int main(int argc, char** argv) {
   // fig5: the full chain, the workload the paper's headline numbers use.
   rows.push_back(measure("fig5_chain", 16384, 2, &run_chain));
 
-  // Chaos parity: the pinned plan (or --faults) must hit both executors
-  // identically.
-  toast::fault::FaultPlan plan;
-  std::string plan_name = "builtin_launch_persistent";
-  if (!opt.faults_path.empty()) {
-    plan = toast::bench::load_artifact(argv[0], opt.faults_path,
-                                       toast::fault::FaultPlan::load_file);
-    plan_name = opt.faults_path;
-  } else {
-    plan.seed = 7;
-    toast::fault::FaultRule rule;
-    rule.kind = toast::fault::FaultKind::kLaunch;
-    rule.probability = 1.0;
-    plan.rules.push_back(rule);
-  }
   const ChaosResult chaos = run_chaos(plan, plan_name);
 
   const FusedStats fused = representative_fused_stats();

@@ -163,97 +163,58 @@ std::string ScheduleConfig::hash_hex() const {
 
 namespace {
 
-using obs::json::Value;
-
-void reject_unknown_keys(const Value& v, const std::string& where,
-                         std::initializer_list<const char*> known) {
-  for (const auto& [key, member] : v.object) {
-    (void)member;
-    bool ok = false;
-    for (const char* k : known) {
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      throw std::runtime_error(where + ": unknown key '" + key + "'");
-    }
-  }
-}
-
-std::string string_at(const Value& v, const char* key,
-                      const std::string& fallback) {
-  const Value* m = v.find(key);
-  return m != nullptr && m->is_string() ? m->string : fallback;
-}
-
-bool bool_at(const Value& v, const char* key, bool fallback) {
-  const Value* m = v.find(key);
-  return m != nullptr ? m->boolean : fallback;
-}
-
-ScheduleConfig config_from_value(const Value& doc, const std::string& where) {
-  if (!doc.is_object()) {
-    throw std::runtime_error(where + ": schedule config must be an object");
-  }
-  const Value* schema = doc.find("schema");
-  if (schema == nullptr || schema->string != "toastcase-schedule-v1") {
-    throw std::runtime_error(where +
-                             ": expected schema toastcase-schedule-v1");
-  }
-  reject_unknown_keys(doc, where,
-                      {"schema", "backend", "staging", "streams", "comm",
-                       "solver", "shape", "device"});
+ScheduleConfig config_from_value(const obs::json::Value& doc,
+                                 const std::string& where) {
+  const auto r =
+      obs::json::Reader::document(doc, where, "toastcase-schedule-v1");
+  r.keys({"schema", "backend", "staging", "streams", "comm", "solver",
+          "shape", "device"});
 
   ScheduleConfig cfg;
-  cfg.backend = string_at(doc, "backend", cfg.backend);
-  // Resolve eagerly so a bad slot name fails at parse time, not at use.
-  (void)cfg.backend_id();
-  if (const Value* staging = doc.find("staging")) {
-    reject_unknown_keys(*staging, where + ": staging",
-                        {"mode", "prefetch", "evict"});
-    cfg.staging.mode = staging_from_string(
-        string_at(*staging, "mode", to_string(cfg.staging.mode)));
-    cfg.staging.prefetch = bool_at(*staging, "prefetch", false);
-    cfg.staging.evict = bool_at(*staging, "evict", false);
+  // Resolve the slot eagerly so a bad name fails at parse time, not at use.
+  r.string_as(
+      "backend",
+      [&cfg](const std::string& slot) {
+        cfg.backend = slot;
+        return cfg.backend_id();
+      },
+      cfg.backend.c_str());
+  if (const auto staging = r.object("staging")) {
+    staging->keys({"mode", "prefetch", "evict"});
+    cfg.staging.mode = staging->string_as("mode", staging_from_string,
+                                          to_string(cfg.staging.mode));
+    cfg.staging.prefetch =
+        staging->bool_or("prefetch", cfg.staging.prefetch);
+    cfg.staging.evict = staging->bool_or("evict", cfg.staging.evict);
   }
-  cfg.streams = static_cast<int>(doc.number_or("streams", 1.0));
-  if (cfg.streams < 1) {
-    throw std::runtime_error(where + ": streams must be >= 1");
+  cfg.streams = r.integer_or("streams", cfg.streams, 1);
+  if (const auto comm = r.object("comm")) {
+    comm->keys({"mode", "algorithm", "chunk_bytes"});
+    cfg.comm.mode = comm->string_as("mode", comm_mode_from_string,
+                                    to_string(cfg.comm.mode));
+    cfg.comm.algorithm =
+        comm->string_as("algorithm", comm_algorithm_from_string,
+                        to_string(cfg.comm.algorithm));
+    cfg.comm.chunk_bytes =
+        comm->number_or("chunk_bytes", cfg.comm.chunk_bytes, 0.0);
   }
-  if (const Value* comm = doc.find("comm")) {
-    reject_unknown_keys(*comm, where + ": comm",
-                        {"mode", "algorithm", "chunk_bytes"});
-    cfg.comm.mode = comm_mode_from_string(
-        string_at(*comm, "mode", to_string(cfg.comm.mode)));
-    cfg.comm.algorithm = comm_algorithm_from_string(
-        string_at(*comm, "algorithm", to_string(cfg.comm.algorithm)));
-    cfg.comm.chunk_bytes = comm->number_or("chunk_bytes", 0.0);
-    if (cfg.comm.chunk_bytes < 0.0) {
-      throw std::runtime_error(where + ": comm chunk_bytes must be >= 0");
-    }
+  if (const auto solver = r.object("solver")) {
+    solver->keys({"async_comm"});
+    cfg.solver.async_comm =
+        solver->string_as("async_comm", solver_comm_from_string,
+                          to_string(cfg.solver.async_comm));
   }
-  if (const Value* solver = doc.find("solver")) {
-    reject_unknown_keys(*solver, where + ": solver", {"async_comm"});
-    cfg.solver.async_comm = solver_comm_from_string(
-        string_at(*solver, "async_comm", to_string(cfg.solver.async_comm)));
-  }
-  if (const Value* shape = doc.find("shape")) {
-    reject_unknown_keys(*shape, where + ": shape",
-                        {"nodes", "procs_per_node"});
-    cfg.shape.nodes = static_cast<int>(shape->number_or("nodes", 0.0));
+  if (const auto shape = r.object("shape")) {
+    shape->keys({"nodes", "procs_per_node"});
+    cfg.shape.nodes = shape->integer_or("nodes", cfg.shape.nodes, 0);
     cfg.shape.procs_per_node =
-        static_cast<int>(shape->number_or("procs_per_node", 0.0));
-    if (cfg.shape.nodes < 0 || cfg.shape.procs_per_node < 0) {
-      throw std::runtime_error(where + ": shape values must be >= 0");
-    }
+        shape->integer_or("procs_per_node", cfg.shape.procs_per_node, 0);
   }
-  if (const Value* device = doc.find("device")) {
-    reject_unknown_keys(*device, where + ": device",
-                        {"mps", "jax_preallocate"});
-    cfg.device.mps = bool_at(*device, "mps", true);
-    cfg.device.jax_preallocate = bool_at(*device, "jax_preallocate", false);
+  if (const auto device = r.object("device")) {
+    device->keys({"mps", "jax_preallocate"});
+    cfg.device.mps = device->bool_or("mps", cfg.device.mps);
+    cfg.device.jax_preallocate =
+        device->bool_or("jax_preallocate", cfg.device.jax_preallocate);
   }
   return cfg;
 }
@@ -261,7 +222,7 @@ ScheduleConfig config_from_value(const Value& doc, const std::string& where) {
 }  // namespace
 
 ScheduleConfig ScheduleConfig::parse(const std::string& text) {
-  return config_from_value(Value::parse(text), "schedule config");
+  return config_from_value(obs::json::Value::parse(text), "schedule config");
 }
 
 ScheduleConfig ScheduleConfig::load_file(const std::string& path) {

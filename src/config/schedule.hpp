@@ -30,9 +30,7 @@
 //   "device": {"mps": true, "jax_preallocate": false}
 // }
 //
-// Parsing is strict, like the fault-plan and resilience-policy schemas:
-// unknown keys anywhere in the document are rejected (a typo must not
-// silently become a default).
+// Parsing is strict (docs/ROBUSTNESS.md, "Strict reader").
 
 #include <cstdint>
 #include <iosfwd>

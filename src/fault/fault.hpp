@@ -32,6 +32,7 @@
 #include "accel/sim_device.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "resilience/policy.hpp"
 
 namespace toast::resilience {
 class Manager;
@@ -70,25 +71,17 @@ struct FaultRule {
   double pressure_threshold = 0.0;
 };
 
-/// Bounded retry with exponential backoff.  A failed attempt wastes
-/// `failed_fraction` of the op's cost plus the current backoff, all
-/// charged to the virtual clock.
-struct RetryPolicy {
-  int max_attempts = 3;
-  double backoff_seconds = 1e-4;
-  double backoff_multiplier = 2.0;
-  double failed_fraction = 0.5;
-};
-
 struct FaultPlan {
   std::uint64_t seed = 0;
-  RetryPolicy retry;
+  /// The global retry budget; a resilience policy may override it per
+  /// site.
+  resilience::RetrySpec retry;
   std::vector<FaultRule> rules;
 
   bool empty() const { return rules.empty(); }
 
   /// Parse a "toastcase-fault-plan-v1" document; throws on malformed
-  /// input or unknown fault kinds.
+  /// input, out-of-range values or unknown fault kinds.
   static FaultPlan parse(const std::string& text);
   static FaultPlan load_file(const std::string& path);
   /// Parse an already-decoded JSON value (e.g. a plan nested inside a
@@ -233,8 +226,7 @@ class FaultInjector final : public accel::FaultHook {
   int match(FaultKind kind, const std::string& site);
   /// The effective retry policy for `site`: the plan's global policy,
   /// overridden per site when an armed resilience manager declares one.
-  RetryPolicy retry_for(const std::string& site) const;
-  double backoff(int attempt) const;
+  resilience::RetrySpec retry_for(const std::string& site) const;
 
   FaultPlan plan_;
   accel::VirtualClock* clock_ = nullptr;

@@ -1,10 +1,13 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 namespace toast::obs::json {
 
@@ -284,7 +287,142 @@ Value load_file(const std::string& path) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  return Value::parse(buf.str());
+  try {
+    return Value::parse(buf.str());
+  } catch (const ParseError& e) {
+    throw ParseError(path + ": " + e.what());
+  }
+}
+
+namespace {
+
+std::string fmt(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string range(double lo, double hi) {
+  return hi == Reader::kInf ? ">= " + fmt(lo)
+                            : "in [" + fmt(lo) + ", " + fmt(hi) + "]";
+}
+
+}  // namespace
+
+Reader::Reader(const Value& v, std::string path)
+    : v_(&v), path_(std::move(path)) {
+  if (!v.is_object()) {
+    fail("", "must be an object");
+  }
+}
+
+Reader Reader::document(const Value& v, std::string path,
+                        const char* schema) {
+  Reader r(v, std::move(path));
+  const Value* s = v.find("schema");
+  if (s == nullptr || !s->is_string() || s->string != schema) {
+    r.fail("schema", std::string("must be \"") + schema + "\"");
+  }
+  return r;
+}
+
+void Reader::fail(const std::string& key, const std::string& rule) const {
+  throw SchemaError((key.empty() ? path_ : path_ + "." + key) + ": " + rule);
+}
+
+void Reader::keys(std::initializer_list<const char*> known) const {
+  for (const auto& member : v_->object) {
+    if (std::find(known.begin(), known.end(), member.first) == known.end()) {
+      std::string expected;
+      for (const char* k : known) {
+        expected += (expected.empty() ? "" : ", ") + std::string(k);
+      }
+      fail(member.first, "unknown key (expected one of: " + expected + ")");
+    }
+  }
+}
+
+std::string Reader::string(const char* key) const {
+  const Value* m = v_->find(key);
+  if (m == nullptr || !m->is_string()) {
+    fail(key, m == nullptr ? "is required" : "must be a string");
+  }
+  return m->string;
+}
+
+std::string Reader::string_or(const char* key,
+                              const std::string& fallback) const {
+  return has(key) ? string(key) : fallback;
+}
+
+bool Reader::bool_or(const char* key, bool fallback) const {
+  const Value* m = v_->find(key);
+  if (m == nullptr) {
+    return fallback;
+  }
+  if (m->type != Value::Type::kBool) {
+    fail(key, "must be true or false");
+  }
+  return m->boolean;
+}
+
+double Reader::number_or(const char* key, double fallback, double lo,
+                         double hi) const {
+  const Value* m = v_->find(key);
+  if (m == nullptr) {
+    return fallback;
+  }
+  if (!m->is_number() || !std::isfinite(m->number) || m->number < lo ||
+      m->number > hi) {
+    fail(key, "must be a finite number " + range(lo, hi));
+  }
+  return m->number;
+}
+
+const Value* Reader::integer(const char* key, double lo, double hi) const {
+  const Value* m = v_->find(key);
+  // Range-check the double before any cast: converting an out-of-range
+  // double to an integer type is undefined behaviour.
+  if (m != nullptr && (!m->is_number() || std::floor(m->number) != m->number ||
+                       m->number < lo || m->number > hi)) {
+    fail(key, "must be an integer " + range(lo, hi));
+  }
+  return m;
+}
+
+int Reader::integer_or(const char* key, int fallback, int lo, int hi) const {
+  const Value* m = integer(key, lo, hi);
+  return m == nullptr ? fallback : static_cast<int>(m->number);
+}
+
+std::uint64_t Reader::seed_or(const char* key,
+                              std::uint64_t fallback) const {
+  const Value* m = integer(key, 0.0, 0x1p53);
+  return m == nullptr ? fallback : static_cast<std::uint64_t>(m->number);
+}
+
+std::optional<Reader> Reader::object(const char* key) const {
+  const Value* m = v_->find(key);
+  if (m == nullptr) {
+    return std::nullopt;
+  }
+  return Reader(*m, path_ + "." + key);
+}
+
+std::vector<Reader> Reader::array(const char* key) const {
+  std::vector<Reader> out;
+  const Value* m = v_->find(key);
+  if (m == nullptr) {
+    return out;
+  }
+  if (!m->is_array()) {
+    fail(key, "must be an array");
+  }
+  for (std::size_t i = 0; i < m->array.size(); ++i) {
+    out.emplace_back(m->array[i],
+                     path_ + "." + key + "[" + std::to_string(i) + "]");
+  }
+  return out;
 }
 
 }  // namespace toast::obs::json

@@ -1,111 +1,76 @@
 #include "resilience/policy.hpp"
 
-#include <stdexcept>
-
-#include "obs/json.hpp"
+#include <cmath>
 
 namespace toast::resilience {
 
+RetrySpec read_retry(const obs::json::Reader& r) {
+  r.keys({"max_attempts", "backoff_seconds", "backoff_multiplier",
+          "failed_fraction"});
+  RetrySpec spec;
+  spec.max_attempts = r.integer_or("max_attempts", spec.max_attempts, 1);
+  spec.backoff_seconds =
+      r.number_or("backoff_seconds", spec.backoff_seconds, 0.0);
+  spec.backoff_multiplier =
+      r.number_or("backoff_multiplier", spec.backoff_multiplier, 1.0);
+  spec.failed_fraction =
+      r.number_or("failed_fraction", spec.failed_fraction, 0.0, 1.0);
+  // The last attempt charges the largest backoff; it must stay finite.
+  if (!std::isfinite(spec.backoff_seconds *
+                     std::pow(spec.backoff_multiplier,
+                              spec.max_attempts - 1))) {
+    r.fail("backoff_multiplier",
+           "the largest backoff (backoff_seconds * backoff_multiplier^"
+           "(max_attempts - 1)) must be finite");
+  }
+  return spec;
+}
+
 namespace {
 
-using obs::json::Value;
-
-void reject_unknown_keys(const Value& v, const std::string& where,
-                         std::initializer_list<const char*> known) {
-  for (const auto& [key, member] : v.object) {
-    (void)member;
-    bool ok = false;
-    for (const char* k : known) {
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      throw std::runtime_error(where + ": unknown key '" + key + "'");
-    }
-  }
-}
-
-RetrySpec retry_from(const Value& v, const std::string& where) {
-  reject_unknown_keys(v, where,
-                      {"max_attempts", "backoff_seconds",
-                       "backoff_multiplier", "failed_fraction"});
-  RetrySpec r;
-  r.max_attempts = static_cast<int>(v.number_or("max_attempts", 3.0));
-  r.backoff_seconds = v.number_or("backoff_seconds", 1e-4);
-  r.backoff_multiplier = v.number_or("backoff_multiplier", 2.0);
-  r.failed_fraction = v.number_or("failed_fraction", 0.5);
-  return r;
-}
-
-Policy policy_from_value(const Value& doc, const std::string& where) {
-  if (!doc.is_object()) {
-    throw std::runtime_error(where + ": resilience policy must be an object");
-  }
-  const Value* schema = doc.find("schema");
-  if (schema == nullptr ||
-      schema->string != "toastcase-resilience-policy-v1") {
-    throw std::runtime_error(
-        where + ": expected schema toastcase-resilience-policy-v1");
-  }
-  reject_unknown_keys(doc, where, {"schema", "sites", "ladders", "elastic"});
+Policy policy_from_value(const obs::json::Value& doc,
+                         const std::string& where) {
+  const auto r = obs::json::Reader::document(
+      doc, where, "toastcase-resilience-policy-v1");
+  r.keys({"schema", "sites", "ladders", "elastic"});
 
   Policy policy;
-  if (const Value* sites = doc.find("sites")) {
-    for (const Value& s : sites->array) {
-      reject_unknown_keys(s, where + ": site",
-                          {"site", "retry", "deadline_seconds", "breaker"});
-      SitePolicy sp;
-      if (const Value* site = s.find("site")) {
-        sp.site = site->string;
-      }
-      if (const Value* retry = s.find("retry")) {
-        sp.has_retry = true;
-        sp.retry = retry_from(*retry, where + ": retry");
-      }
-      sp.deadline_seconds = s.number_or("deadline_seconds", 0.0);
-      if (const Value* breaker = s.find("breaker")) {
-        reject_unknown_keys(
-            *breaker, where + ": breaker",
-            {"open_after", "open_seconds", "close_after", "jitter"});
-        sp.breaker.open_after =
-            static_cast<int>(breaker->number_or("open_after", 0.0));
-        sp.breaker.open_seconds = breaker->number_or("open_seconds", 1e-3);
-        sp.breaker.close_after =
-            static_cast<int>(breaker->number_or("close_after", 1.0));
-        sp.breaker.jitter = breaker->number_or("jitter", 0.0);
-      }
-      policy.sites.push_back(std::move(sp));
+  for (const auto& s : r.array("sites")) {
+    s.keys({"site", "retry", "deadline_seconds", "breaker"});
+    SitePolicy sp;
+    sp.site = s.string_or("site", "");
+    if (const auto retry = s.object("retry")) {
+      sp.has_retry = true;
+      sp.retry = read_retry(*retry);
     }
-  }
-  if (const Value* ladders = doc.find("ladders")) {
-    for (const Value& l : ladders->array) {
-      reject_unknown_keys(l, where + ": ladder",
-                          {"domain", "escalate_after", "max_level"});
-      LadderSpec ls;
-      ls.domain = l.at("domain").string;
-      if (ls.domain.empty()) {
-        throw std::runtime_error(where + ": ladder domain must be non-empty");
-      }
-      ls.escalate_after =
-          static_cast<int>(l.number_or("escalate_after", 1.0));
-      ls.max_level = static_cast<int>(l.number_or("max_level", 1.0));
-      policy.ladders.push_back(std::move(ls));
+    sp.deadline_seconds = s.number_or("deadline_seconds", 0.0, 0.0);
+    if (const auto b = s.object("breaker")) {
+      b->keys({"open_after", "open_seconds", "close_after", "jitter"});
+      sp.breaker.open_after = b->integer_or("open_after", 0);
+      sp.breaker.open_seconds = b->number_or("open_seconds", 1e-3, 0.0);
+      sp.breaker.close_after = b->integer_or("close_after", 1);
+      sp.breaker.jitter = b->number_or("jitter", 0.0, 0.0);
     }
+    policy.sites.push_back(std::move(sp));
   }
-  if (const Value* elastic = doc.find("elastic")) {
-    reject_unknown_keys(
-        *elastic, where + ": elastic",
-        {"enabled", "min_ranks", "rebuild_seconds", "requeue"});
-    const Value* enabled = elastic->find("enabled");
-    policy.elastic.enabled = enabled != nullptr && enabled->boolean;
-    policy.elastic.min_ranks =
-        static_cast<int>(elastic->number_or("min_ranks", 1.0));
+  for (const auto& l : r.array("ladders")) {
+    l.keys({"domain", "escalate_after", "max_level"});
+    LadderSpec ls;
+    ls.domain = l.string("domain");
+    if (ls.domain.empty()) {
+      l.fail("domain", "must be non-empty");
+    }
+    ls.escalate_after = l.integer_or("escalate_after", 1);
+    ls.max_level = l.integer_or("max_level", 1);
+    policy.ladders.push_back(std::move(ls));
+  }
+  if (const auto e = r.object("elastic")) {
+    e->keys({"enabled", "min_ranks", "rebuild_seconds", "requeue"});
+    policy.elastic.enabled = e->bool_or("enabled", false);
+    policy.elastic.min_ranks = e->integer_or("min_ranks", 1);
     policy.elastic.rebuild_seconds =
-        elastic->number_or("rebuild_seconds", 1e-3);
-    const Value* requeue = elastic->find("requeue");
-    policy.elastic.requeue = requeue == nullptr || requeue->boolean;
+        e->number_or("rebuild_seconds", 1e-3, 0.0);
+    policy.elastic.requeue = e->bool_or("requeue", true);
   }
   return policy;
 }

@@ -9,7 +9,7 @@
 // with per-site declarations the subsystems consult through one API:
 //
 //   - per-site retry budgets with backoff (overriding the fault plan's
-//     single global RetryPolicy for matching hook sites),
+//     single global RetrySpec for matching hook sites),
 //   - virtual-clock deadlines: a cap on the total retry penalty one op
 //     may accumulate before it is declared persistently failed,
 //   - deterministic circuit breakers (closed -> open -> half-open ->
@@ -45,8 +45,7 @@
 //               "rebuild_seconds": 1e-3, "requeue": true}
 // }
 //
-// Parsing is strict: unknown keys anywhere in the document are rejected
-// (typos must not silently become defaults).
+// Parsing is strict (docs/ROBUSTNESS.md, "Strict reader").
 
 #include <string>
 #include <vector>
@@ -55,14 +54,21 @@
 
 namespace toast::resilience {
 
-/// Per-site override of the fault plan's global retry policy.  Fields
-/// mirror fault::RetryPolicy.
+/// Bounded retry with exponential backoff: the fault plan's global
+/// budget and a site policy's override.  A failed attempt wastes
+/// `failed_fraction` of the op's cost plus the current backoff, all
+/// charged to the virtual clock.
 struct RetrySpec {
   int max_attempts = 3;
   double backoff_seconds = 1e-4;
   double backoff_multiplier = 2.0;
   double failed_fraction = 0.5;
 };
+
+/// Read a `retry` block (the same four keys in the fault-plan and
+/// policy schemas) with the ranges of docs/ROBUSTNESS.md; throws
+/// obs::json::SchemaError.
+RetrySpec read_retry(const obs::json::Reader& r);
 
 /// Deterministic circuit breaker.  `open_after` consecutive failures at
 /// one concrete site trip the breaker (subsequent ops fail fast, no

@@ -7,10 +7,9 @@
 // plan and resilience policy) and the jobs they submit (workload class,
 // backend or explicit per-job schedule, arrival time, graph mode).
 //
-// JSON schema "toastcase-serve-v1" (parse/load_file/from_value; strict:
-// unknown keys reject at EVERY nesting level, matching the fault,
-// resilience and schedule parsers — a typo must not silently become a
-// default):
+// JSON schema "toastcase-serve-v1" (parse/load_file/from_value; read
+// strictly at every nesting level, nested documents included — see
+// docs/ROBUSTNESS.md, "Strict reader"):
 //
 // {
 //   "schema": "toastcase-serve-v1",
@@ -122,7 +121,7 @@ struct ServiceSpec {
   int tenant_index(const std::string& name) const;
 
   /// Parse a "toastcase-serve-v1" document; throws std::runtime_error
-  /// on malformed input or unknown keys at any nesting level.
+  /// naming the offending path on malformed input.
   static ServiceSpec parse(const std::string& text);
   static ServiceSpec load_file(const std::string& path);
   static ServiceSpec from_value(const obs::json::Value& doc,

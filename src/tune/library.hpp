@@ -6,8 +6,8 @@
 // library is the per-(workload, topology) index over those artifacts
 // that lets a *service* pick a tuned schedule for a job it has never
 // seen tuned itself.  The index file ("toastcase-schedule-library-v1",
-// strict parsing like every toastcase schema — unknown keys reject at
-// every nesting level) lives beside the artifacts it references:
+// read strictly like every toastcase schema, docs/ROBUSTNESS.md) lives
+// beside the artifacts it references:
 //
 // {
 //   "schema": "toastcase-schedule-library-v1",
@@ -71,6 +71,10 @@ class ScheduleLibrary {
   const LibraryEntry* lookup(const LibraryQuery& q) const;
 
  private:
+  static ScheduleLibrary from_value(const obs::json::Value& doc,
+                                    const std::string& where,
+                                    const std::string& base_dir);
+
   std::vector<LibraryEntry> entries_;
 };
 

@@ -173,6 +173,24 @@ TEST(ScheduleConfig, RejectsInvalidValues) {
               "shape": {"nodes": -1}})");
   rejects(R"({"schema": "toastcase-schedule-v1",
               "solver": {"async_comm": "async"}})");
+  // Wrong types and non-integral or overflowing counts name the key's
+  // path (a double-to-int cast of 3e9 would be undefined behaviour).
+  const auto rejects_at = [](const std::string& body,
+                             const std::string& path) {
+    try {
+      ScheduleConfig::parse(R"({"schema": "toastcase-schedule-v1", )" +
+                            body + "}");
+      ADD_FAILURE() << "accepted: " << body;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects_at(R"("shape": {"nodes": 1.5})", "schedule config.shape.nodes");
+  rejects_at(R"("shape": {"procs_per_node": 3e9})",
+             "schedule config.shape.procs_per_node");
+  rejects_at(R"("staging": {"prefetch": "yes"})",
+             "schedule config.staging.prefetch");
 }
 
 TEST(ScheduleConfig, RejectsExecutorStrategyAsBackendSlot) {

@@ -86,6 +86,34 @@ TEST(FaultPlan, RejectsBadDocuments) {
       FaultPlan::parse(R"({"schema": "toastcase-fault-plan-v1",
                            "rules": [{"kind": "gremlin"}]})"),
       std::runtime_error);
+  // Wrong types and out-of-range values are errors naming the key's path,
+  // never silently clamped, defaulted or cast.
+  const auto rejects_at = [](const std::string& body,
+                             const std::string& path) {
+    try {
+      FaultPlan::parse(R"({"schema": "toastcase-fault-plan-v1", )" + body +
+                       "}");
+      ADD_FAILURE() << "accepted: " << body;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  };
+  const std::string rule0 = "fault plan.rules[0].";
+  rejects_at(R"("rules": [{"kind": "launch", "probability": 2.0}])",
+             rule0 + "probability");
+  rejects_at(R"("rules": [{"kind": "launch", "probability": -1}])",
+             rule0 + "probability");
+  rejects_at(R"("rules": [{"kind": "launch", "probability": "0.5"}])",
+             rule0 + "probability");
+  rejects_at(R"("rules": [{"kind": "straggler", "factor": -1}])",
+             rule0 + "factor");
+  rejects_at(R"("retry": {"max_attempts": -3})",
+             "fault plan.retry.max_attempts");
+  rejects_at(R"("retry": {"backoff_multiplier": 1e308})",
+             "fault plan.retry.backoff_multiplier");
+  rejects_at(R"("seed": -5)", "fault plan.seed");
+  rejects_at(R"("seed": 1e300)", "fault plan.seed");
 }
 
 TEST(FaultPlan, RejectsUnknownKeys) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
 
 #include "accel/sim_device.hpp"
@@ -287,6 +288,23 @@ TEST(Json, ThrowsOnEveryTruncatedPrefix) {
         << "prefix length " << n;
   }
   EXPECT_NO_THROW(json::Value::parse(full));
+}
+
+TEST(Json, LoadFileNamesTheFileOnParseErrors) {
+  // A bench given several artifacts must say which one is malformed.
+  const std::string path = ::testing::TempDir() + "truncated_plan.json";
+  {
+    std::ofstream out(path);
+    out << R"({"schema": "toastcase-fault-plan-v1", "rules": [)";
+  }
+  try {
+    json::load_file(path);
+    ADD_FAILURE() << "truncated file parsed";
+  } catch (const json::ParseError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(path + ": json parse error", 0),
+              0u)
+        << e.what();
+  }
 }
 
 TEST(Json, NumberOrFallsBackOnWrongTypes) {

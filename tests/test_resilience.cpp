@@ -128,6 +128,24 @@ TEST(ResiliencePolicy, RejectsUnknownKeysEverywhere) {
       Policy::parse(R"({"schema": "toastcase-resilience-policy-v1",
                         "ladders": [{"escalate_after": 2}]})"),
       std::runtime_error);
+  // Wrong types and out-of-range values name the key's path.
+  const auto rejects_at = [](const std::string& body,
+                             const std::string& path) {
+    try {
+      Policy::parse(R"({"schema": "toastcase-resilience-policy-v1", )" +
+                    body + "}");
+      ADD_FAILURE() << "accepted: " << body;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects_at(R"("elastic": {"enabled": 1})",
+             "resilience policy.elastic.enabled");
+  rejects_at(R"("sites": [{"retry": {"max_attempts": -3}}])",
+             "resilience policy.sites[0].retry.max_attempts");
+  rejects_at(R"("sites": [{"retry": {"backoff_multiplier": 1e308}}])",
+             "resilience policy.sites[0].retry.backoff_multiplier");
 }
 
 // --- disarmed manager ------------------------------------------------------

@@ -189,6 +189,25 @@ TEST(ServeSpec, ValidatesCrossReferencesAndRanges) {
              "jobs": [{"name": "j", "tenant": "a"}]})");
   reject(R"({"schema": "toastcase-serve-v1",
              "tenants": [{"name": "a"}], "jobs": []})");
+  // Bad values name their path, through nested documents too.
+  const auto rejects_at = [](const std::string& tenant,
+                             const std::string& job,
+                             const std::string& path) {
+    try {
+      ServiceSpec::parse(R"({"schema": "toastcase-serve-v1",
+          "tenants": [{"name": "a")" + tenant + R"(}],
+          "jobs": [{"name": "j", "tenant": "a")" + job + "}]}");
+      ADD_FAILURE() << "accepted: " << tenant << job;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects_at("", R"(, "seed": -5)", "serve spec.jobs[0].seed");
+  rejects_at("", R"(, "seed": 1e300)", "serve spec.jobs[0].seed");
+  rejects_at(R"(, "faults": {"schema": "toastcase-fault-plan-v1",
+                 "rules": [{"kind": "launch", "probability": 2.0}]})",
+             "", "serve spec.tenants[0].faults.rules[0].probability");
 }
 
 TEST(ScheduleLibrary, LookupPrefersMostSpecificEntry) {
