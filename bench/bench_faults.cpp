@@ -134,13 +134,17 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
 
 int main(int argc, char** argv) {
   const auto opt = toast::bench::parse_options(argc, argv);
-  toast::bench::print_header(
-      "Fault injection: zero-fault identity, chaos determinism, recovery");
-
+  // Artifacts load before any output, so a bad one exits 2 with an empty
+  // stdout.
   FaultPlan chaos = chaos_plan();
   if (!opt.faults_path.empty()) {
     chaos = toast::bench::load_artifact(argv[0], opt.faults_path,
                                         FaultPlan::load_file);
+  }
+  toast::bench::print_header(
+      "Fault injection: zero-fault identity, chaos determinism, recovery");
+
+  if (!opt.faults_path.empty()) {
     std::printf("chaos plan: %s (%zu rule%s, seed %llu)\n",
                 opt.faults_path.c_str(), chaos.rules.size(),
                 chaos.rules.size() == 1 ? "" : "s",

@@ -111,6 +111,13 @@ void write_json(const std::string& path,
 
 int main(int argc, char** argv) {
   const auto opt = toast::bench::parse_options(argc, argv);
+  // Artifacts load before any output, so a bad one exits 2 with an empty
+  // stdout.
+  toast::config::ScheduleConfig base_schedule;
+  if (!opt.schedule_path.empty()) {
+    base_schedule = toast::bench::load_artifact(
+        argv[0], opt.schedule_path, toast::config::ScheduleConfig::load_file);
+  }
   toast::bench::print_header(
       "Figure 4: runtime vs number of processes (medium, 1 node)");
   std::printf("%6s %8s | %14s | %14s %8s | %14s %8s\n", "procs", "threads",
@@ -118,10 +125,7 @@ int main(int argc, char** argv) {
   std::printf("---------------------------------------------------------------"
               "---------\n");
 
-  toast::config::ScheduleConfig base_schedule;
   if (!opt.schedule_path.empty()) {
-    base_schedule = toast::bench::load_artifact(
-        argv[0], opt.schedule_path, toast::config::ScheduleConfig::load_file);
     std::printf("schedule: %s (hash %s)\n", opt.schedule_path.c_str(),
                 base_schedule.hash_hex().c_str());
   }

@@ -121,14 +121,23 @@ void write_json(const std::string& path, const toast::bench::BenchOptions& opt,
 
 int main(int argc, char** argv) {
   const auto opt = toast::bench::parse_options(argc, argv);
-  toast::bench::print_header(
-      "Figure 5: full benchmark, large problem (8 nodes x 16 procs x 4 "
-      "threads)");
-
+  // Artifacts load before any output, so a bad one exits 2 with an empty
+  // stdout.
   toast::fault::FaultPlan plan;
   if (!opt.faults_path.empty()) {
     plan = toast::bench::load_artifact(argv[0], opt.faults_path,
                                        toast::fault::FaultPlan::load_file);
+  }
+  config::ScheduleConfig base_schedule;
+  if (!opt.schedule_path.empty()) {
+    base_schedule = toast::bench::load_artifact(
+        argv[0], opt.schedule_path, config::ScheduleConfig::load_file);
+  }
+  toast::bench::print_header(
+      "Figure 5: full benchmark, large problem (8 nodes x 16 procs x 4 "
+      "threads)");
+
+  if (!opt.faults_path.empty()) {
     std::printf("fault plan: %s (%zu rule%s, seed %llu)\n",
                 opt.faults_path.c_str(), plan.rules.size(),
                 plan.rules.size() == 1 ? "" : "s",
@@ -142,10 +151,7 @@ int main(int argc, char** argv) {
   if (!opt.comm.empty()) {
     std::printf("comm: %s\n", opt.comm.c_str());
   }
-  config::ScheduleConfig base_schedule;
   if (!opt.schedule_path.empty()) {
-    base_schedule = toast::bench::load_artifact(
-        argv[0], opt.schedule_path, config::ScheduleConfig::load_file);
     std::printf("schedule: %s (hash %s)\n", opt.schedule_path.c_str(),
                 base_schedule.hash_hex().c_str());
   }

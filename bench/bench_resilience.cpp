@@ -188,9 +188,8 @@ resilience::Policy builtin_elastic_policy() {
 
 int main(int argc, char** argv) {
   const auto opt = toast::bench::parse_options(argc, argv);
-  toast::bench::print_header(
-      "Resilience policy engine: identity, breakers, elastic recovery");
-
+  // Artifacts load before any output, so a bad one exits 2 with an empty
+  // stdout.
   fault::FaultPlan elastic_plan = builtin_elastic_plan();
   if (!opt.faults_path.empty()) {
     elastic_plan = toast::bench::load_artifact(argv[0], opt.faults_path,
@@ -201,6 +200,8 @@ int main(int argc, char** argv) {
     elastic_policy = toast::bench::load_artifact(
         argv[0], opt.policy_path, resilience::Policy::load_file);
   }
+  toast::bench::print_header(
+      "Resilience policy engine: identity, breakers, elastic recovery");
 
   // --- identity: a disarmed manager is pass-through -------------------------
   fault::FaultPlan chaos;

@@ -259,6 +259,13 @@ int main(int argc, char** argv) {
   const auto opt = toast::bench::parse_options(
       argc, argv,
       {{"--spec", &spec_path}, {"--result", &result_path}});
+  // The spec loads before any output, so a bad one exits 2 with an empty
+  // stdout.
+  ServiceSpec spec;
+  if (!spec_path.empty()) {
+    spec = toast::bench::load_artifact(argv[0], spec_path,
+                                       ServiceSpec::load_file);
+  }
   toast::bench::print_header(
       "Multi-tenant job service: load sweep and isolation invariants");
 
@@ -273,8 +280,6 @@ int main(int argc, char** argv) {
     // Pinned-scenario mode: run the spec twice; the second run checks
     // byte-identical output, CI additionally cmp's --result dumps from
     // two separate processes.
-    const ServiceSpec spec = toast::bench::load_artifact(
-        argv[0], spec_path, ServiceSpec::load_file);
     ServiceReport a = Service(spec).run();
     const ServiceReport b = Service(spec).run();
     work_conserving = a.work_conserving;

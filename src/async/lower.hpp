@@ -84,7 +84,8 @@ double place_overlap(TaskGraph& graph,
 
 /// Planned execution of one observation with the task-graph post-pass
 /// (see file comment).  Accumulates into `stats` what Pipeline::exec
-/// would.  `graph`, when set, receives the executed graph (for
+/// would; pass pipeline.plan_stats() to keep one set of counters.
+/// `graph`, when set, receives the executed graph (for
 /// write_tasks_json).  After an "executor" escalation the interpreter
 /// runs and the report is empty.
 GraphReport run_plan_async(core::Pipeline& pipeline, core::Observation& ob,

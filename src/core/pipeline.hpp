@@ -104,8 +104,11 @@ class Pipeline {
                                                 ExecContext& ctx);
 
   /// Cumulative plan/execute statistics (cache hits/misses, replans,
-  /// transfers avoided, evictions, peak mapped bytes).
+  /// transfers avoided, evictions, peak mapped bytes).  The mutable form
+  /// lets a drive of the shared planned entry (async::run_plan_async)
+  /// accumulate into the same counters as exec().
   const PlanStats& plan_stats() const { return plan_stats_; }
+  PlanStats& plan_stats() { return plan_stats_; }
 
   const std::vector<std::shared_ptr<Operator>>& operators() const {
     return operators_;

@@ -146,7 +146,6 @@ JobResult run_benchmark_job(const JobConfig& cfg) {
   auto pipeline =
       sim::make_benchmark_pipeline(wf, cfg.schedule.staging.mode);
   pipeline.set_schedule(cfg.schedule);
-  core::PlanStats graph_stats;
   auto run_pipeline = [&](core::Observation& ob) {
     switch (cfg.pipeline_run) {
       case PipelineRun::kInterpreted:
@@ -156,7 +155,7 @@ JobResult run_benchmark_job(const JobConfig& cfg) {
         pipeline.exec(ob, ctx);
         break;
       case PipelineRun::kOverlap:
-        async::run_plan_async(pipeline, ob, ctx, graph_stats,
+        async::run_plan_async(pipeline, ob, ctx, pipeline.plan_stats(),
                               {async::Mode::kOverlap});
         break;
     }
@@ -332,15 +331,7 @@ JobResult run_benchmark_job(const JobConfig& cfg) {
   }
   result.world_ranks = world;
   if (cfg.pipeline_run != PipelineRun::kInterpreted) {
-    // Overlap runs accumulate executor stats into graph_stats (the
-    // pipeline only sees plan_for's cache traffic); fold them together.
-    core::PlanStats ps = pipeline.plan_stats();
-    ps.replans += graph_stats.replans;
-    ps.transfers_avoided += graph_stats.transfers_avoided;
-    ps.evictions += graph_stats.evictions;
-    ps.prefetched_uploads += graph_stats.prefetched_uploads;
-    ps.peak_mapped_bytes =
-        std::max(ps.peak_mapped_bytes, graph_stats.peak_mapped_bytes);
+    const core::PlanStats& ps = pipeline.plan_stats();
     result.plan_counters = {
         {"plan_cache_hits", ps.cache_hits},
         {"plan_cache_misses", ps.cache_misses},

@@ -50,42 +50,37 @@ std::span<const T> lit_span(const Literal& l) {
 
 // --- loads ------------------------------------------------------------------
 
+// An identity load is one contiguous run and a scalar load one fill, so
+// every load goes through the run walk.
 template <typename T>
-void load_identity(const Step& s, ExecState& st, std::int64_t base,
-                   std::int64_t n) {
+void load_step(const Step& s, ExecState& st, std::int64_t base,
+               std::int64_t n) {
   const auto src = lit_span<T>(*(*st.vals)[static_cast<std::size_t>(s.slot)]);
   T* dst = pool<T>(st)[static_cast<std::size_t>(s.out)].data();
-  std::copy(src.begin() + base, src.begin() + base + n, dst);
-}
-
-template <typename T>
-void load_scalar(const Step& s, ExecState& st, std::int64_t, std::int64_t n) {
-  const auto src = lit_span<T>(*(*st.vals)[static_cast<std::size_t>(s.slot)]);
-  T* dst = pool<T>(st)[static_cast<std::size_t>(s.out)].data();
-  std::fill(dst, dst + n, src[0]);
-}
-
-template <typename T>
-void load_xform(const Step& s, ExecState& st, std::int64_t base,
-                std::int64_t n) {
-  const auto src = lit_span<T>(*(*st.vals)[static_cast<std::size_t>(s.slot)]);
-  T* dst = pool<T>(st)[static_cast<std::size_t>(s.out)].data();
-  for (std::int64_t k = 0; k < n; ++k) {
-    dst[k] = src[static_cast<std::size_t>(apply_xform(s.xform, base + k))];
-  }
+  for_each_run(s.xform, base, n,
+               [&](std::int64_t k, std::int64_t v, std::int64_t d,
+                   std::int64_t len) {
+                 const T* p = src.data() + v;
+                 T* o = dst + k;
+                 if (d == 0) {
+                   std::fill(o, o + len, *p);
+                 } else if (d == 1) {
+                   std::copy(p, p + len, o);
+                 } else {
+                   for (std::int64_t j = 0; j < len; ++j) o[j] = p[j * d];
+                 }
+               });
 }
 
 void iota_step(const Step& s, ExecState& st, std::int64_t base,
                std::int64_t n) {
   std::int64_t* dst =
       pool<std::int64_t>(st)[static_cast<std::size_t>(s.out)].data();
-  if (s.xform.empty()) {
-    for (std::int64_t k = 0; k < n; ++k) dst[k] = base + k;
-  } else {
-    for (std::int64_t k = 0; k < n; ++k) {
-      dst[k] = apply_xform(s.xform, base + k);
-    }
-  }
+  for_each_run(s.xform, base, n,
+               [&](std::int64_t k, std::int64_t v, std::int64_t d,
+                   std::int64_t len) {
+                 for (std::int64_t j = 0; j < len; ++j) dst[k + j] = v + j * d;
+               });
 }
 
 // --- compute steps ----------------------------------------------------------
@@ -259,21 +254,14 @@ struct CmpWrap {
 
 // --- step-function selection ------------------------------------------------
 
-StepFn load_fn(DType d, const Xform& x) {
-  const bool ident = x.empty();
-  const bool scalar = x.size() == 1 && x[0].kind == XKind::kZero;
+StepFn load_fn(DType d) {
   switch (d) {
     case DType::kF64:
-      return ident ? &load_identity<double>
-                   : scalar ? &load_scalar<double> : &load_xform<double>;
+      return &load_step<double>;
     case DType::kI64:
-      return ident ? &load_identity<std::int64_t>
-                   : scalar ? &load_scalar<std::int64_t>
-                            : &load_xform<std::int64_t>;
+      return &load_step<std::int64_t>;
     case DType::kPred:
-      return ident ? &load_identity<std::uint8_t>
-                   : scalar ? &load_scalar<std::uint8_t>
-                            : &load_xform<std::uint8_t>;
+      return &load_step<std::uint8_t>;
   }
   return nullptr;
 }
@@ -438,7 +426,7 @@ int ExprLowering::lower(InstrId id, const Xform& x) {
     s.out = reg;
     s.slot = id;
     s.xform = x;
-    s.fn = load_fn(in.dtype, x);
+    s.fn = load_fn(in.dtype);
     loop_->steps.push_back(std::move(s));
     memo_.emplace(key, reg);
     return reg;

@@ -16,6 +16,7 @@
 // interpreter would also choke on) raise LoweringError and the Jit
 // falls back to interpretation for that call.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -57,6 +58,53 @@ struct XOp {
 
 using Xform = std::vector<XOp>;
 
+/// Walk `x` over the block [base, base + n) one maximal affine run at a
+/// time: f(k, v, d, len) means the indices of base + k + j map to
+/// v + j * d for j in [0, len).  The walk carries (value, stride, run
+/// length) through the chain: kZero is stride 0, kDiv / kMod cap the run
+/// where the quotient would change or the remainder wrap (then kDiv
+/// drops the stride to 0 and kMod keeps it) unless the stride is a
+/// multiple of the divisor, kMulAdd scales both.  Indices are
+/// non-negative and the arithmetic is exact, so each index equals
+/// apply_xform(x, base + k + j).
+template <typename F>
+void for_each_run(const Xform& x, std::int64_t base, std::int64_t n, F&& f) {
+  for (std::int64_t k = 0; k < n;) {
+    std::int64_t v = base + k;
+    std::int64_t d = 1;
+    std::int64_t len = n - k;
+    for (const auto& s : x) {
+      switch (s.kind) {
+        case XKind::kZero:
+          v = 0;
+          d = 0;
+          break;
+        case XKind::kDiv:
+        case XKind::kMod: {
+          const bool div = s.kind == XKind::kDiv;
+          if (d % s.a == 0) {
+            // Every step crosses whole multiples of a: no cap needed.
+            d = div ? d / s.a : 0;
+          } else {
+            len = std::min(len, (s.a - v % s.a + d - 1) / d);
+            if (div) d = 0;
+          }
+          v = div ? v / s.a : v % s.a;
+          break;
+        }
+        case XKind::kMulAdd:
+          v = v * s.a + s.b;
+          d *= s.a;
+          break;
+      }
+    }
+    f(k, v, d, len);
+    k += len;
+  }
+}
+
+/// Per-element evaluation of `x`: the oracle for_each_run is tested
+/// against.
 inline std::int64_t apply_xform(const Xform& x, std::int64_t i) {
   for (const auto& s : x) {
     switch (s.kind) {

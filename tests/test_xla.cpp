@@ -786,3 +786,124 @@ TEST(XlaCompiled, JitCompiledModeMatchesInterpretedTimeline) {
   EXPECT_EQ(si, sc);
   EXPECT_EQ(ci, cc);
 }
+
+namespace {
+
+/// splitmix64: a pinned generator, so the sweep below is the same on every
+/// standard library.
+std::uint64_t next_u64(std::uint64_t& s) {
+  std::uint64_t z = (s += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+std::int64_t draw(std::uint64_t& s, std::int64_t lo, std::int64_t hi) {
+  return lo + static_cast<std::int64_t>(
+                  next_u64(s) % static_cast<std::uint64_t>(hi - lo + 1));
+}
+
+struct XRun {
+  std::int64_t k, v, d, len;
+};
+
+std::vector<XRun> runs_of(const xla::fused::Xform& x, std::int64_t base,
+                         std::int64_t n) {
+  std::vector<XRun> out;
+  xla::fused::for_each_run(
+      x, base, n,
+      [&](std::int64_t k, std::int64_t v, std::int64_t d, std::int64_t len) {
+        out.push_back({k, v, d, len});
+      });
+  return out;
+}
+
+}  // namespace
+
+TEST(XlaFused, RunWalkMatchesApplyXform) {
+  using xla::fused::XKind;
+  std::uint64_t seed = 16;
+  for (int trial = 0; trial < 3000; ++trial) {
+    xla::fused::Xform x;
+    const std::int64_t chain = draw(seed, 0, 4);
+    for (std::int64_t c = 0; c < chain; ++c) {
+      const auto kind = static_cast<XKind>(draw(seed, 0, 3));
+      if (kind == XKind::kMulAdd) {
+        const std::int64_t a = draw(seed, 0, 9);
+        x.push_back({kind, a, draw(seed, 0, 50)});
+      } else if (kind == XKind::kZero) {
+        x.push_back({kind, 0, 0});
+      } else {
+        x.push_back({kind, draw(seed, 1, 700), 0});
+      }
+    }
+    const std::int64_t base = draw(seed, 0, 1000000);
+    const std::int64_t n = draw(seed, 1, 1024);
+    std::int64_t next = 0;
+    for (const XRun& r : runs_of(x, base, n)) {
+      ASSERT_EQ(r.k, next) << "trial " << trial;
+      ASSERT_GE(r.len, 1) << "trial " << trial;
+      for (std::int64_t j = 0; j < r.len; ++j) {
+        ASSERT_EQ(r.v + j * r.d, xla::fused::apply_xform(x, base + r.k + j))
+            << "trial " << trial << " k " << r.k + j;
+      }
+      next += r.len;
+    }
+    ASSERT_EQ(next, n) << "trial " << trial;
+  }
+}
+
+TEST(XlaFused, RunWalkFastPathsOnHotShapes) {
+  using xla::fused::XKind;
+  // Row broadcast (BroadcastCol): every run is a fill, one per row touched.
+  const auto div = runs_of({{XKind::kDiv, 638, 0}}, 1000, 1024);
+  ASSERT_EQ(div.size(), 3u);
+  for (const XRun& r : div) EXPECT_EQ(r.d, 0);
+  EXPECT_EQ(div[0].len, 276);  // up to the row edge at 1276
+  // Column broadcast / iota (BroadcastRow): contiguous runs up to the wrap.
+  const auto mod = runs_of({{XKind::kMod, 638, 0}}, 1000, 1024);
+  ASSERT_EQ(mod.size(), 3u);
+  for (const XRun& r : mod) EXPECT_EQ(r.d, 1);
+  EXPECT_EQ(mod[1].len, 638);
+  // A unit-stride slice is one contiguous run; a slice of a broadcast
+  // collapses back to a contiguous run too.
+  const auto add = runs_of({{XKind::kMulAdd, 1, 7}}, 1000, 1024);
+  ASSERT_EQ(add.size(), 1u);
+  EXPECT_EQ(add[0].d, 1);
+  EXPECT_EQ(add[0].v, 1007);
+  const auto slice_of_bcast =
+      runs_of({{XKind::kMulAdd, 7, 3}, {XKind::kDiv, 7, 0}}, 1000, 1024);
+  ASSERT_EQ(slice_of_bcast.size(), 1u);
+  EXPECT_EQ(slice_of_bcast[0].d, 1);
+}
+
+TEST(XlaCompiled, ParityComposedTransformsAcrossBlocks) {
+  // 3 x 1031 = 3093 elements: runs straddle the 1024-element block edges
+  // and the last block is partial.
+  constexpr std::int64_t kRows = 3;
+  constexpr std::int64_t kCols = 1031;
+  xla::Jit fn("composed", [](const std::vector<Array>& in) {
+    const Shape grid{kRows, kCols};
+    const Array rows = xla::broadcast_col(in[0], kCols);
+    const Array cols = xla::broadcast_row(in[1], kRows);
+    const Array slice_of_bcast = xla::reshape(
+        xla::slice_col(xla::broadcast_col(in[2], 7), 3), grid);
+    const Array strided = xla::broadcast_row(
+        xla::slice_col(xla::reshape(in[2], Shape{kCols, kRows}), 1), kRows);
+    const Array ramp = xla::to_f64(xla::broadcast_row(xla::iota(kCols), kRows));
+    return std::vector<Array>{rows * cols + slice_of_bcast,
+                              strided - ramp * 0.25,
+                              xla::reduce_sum(rows + ramp, 1)};
+  });
+  std::vector<double> r(kRows), c(kCols), g(kRows * kCols);
+  for (std::size_t i = 0; i < r.size(); ++i) r[i] = 1.5 + static_cast<double>(i);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    c[i] = std::cos(static_cast<double>(i) * 0.3);
+  }
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    g[i] = std::sin(static_cast<double>(i) * 0.7) * 10.0;
+  }
+  expect_bitwise_parity(
+      fn, {Literal::from_f64(Shape{kRows}, r), Literal::from_f64(Shape{kCols}, c),
+           Literal::from_f64(Shape{kRows * kCols}, g)});
+}
