@@ -108,21 +108,16 @@ std::size_t jit_fallbacks() {
 }
 
 xla::Literal lit_f64(const double* data, std::int64_t n) {
-  return xla::Literal::from_f64(xla::Shape{n},
-                                std::span<const double>(data, static_cast<std::size_t>(n)));
+  return xla::Literal::borrow_f64(xla::Shape{n}, data);
 }
 
 xla::Literal lit_i64(const std::int64_t* data, std::int64_t n) {
-  return xla::Literal::from_i64(
-      xla::Shape{n},
-      std::span<const std::int64_t>(data, static_cast<std::size_t>(n)));
+  return xla::Literal::borrow_i64(xla::Shape{n}, data);
 }
 
 xla::Literal lit_u8_as_i64(const std::uint8_t* data, std::int64_t n) {
   xla::Literal l(xla::Shape{n}, xla::DType::kI64);
-  for (std::int64_t i = 0; i < n; ++i) {
-    l.i64()[static_cast<std::size_t>(i)] = data[i];
-  }
+  std::copy(data, data + n, l.i64().begin());
   return l;
 }
 

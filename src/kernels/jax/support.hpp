@@ -59,10 +59,14 @@ Rotated rotate_axis(xla::Array qx, xla::Array qy, xla::Array qz,
 /// Per-kernel Jit instances with process-resettable caches.
 xla::Jit& registered_jit(const std::string& name, xla::TracedFn fn);
 
-/// Wrap a raw buffer as a Literal (copies; the staging costs are charged
-/// by the pipeline's AccelStore, not here).
+/// Wrap a raw buffer as a borrowed, read-only Literal: no copy, so the
+/// buffer must outlive the call that reads it (each wrapper's `args`
+/// dies with its jit.call).  The executor never writes through it, so a
+/// call that throws leaves the buffer as it was.  The staging costs are
+/// charged by the pipeline's AccelStore, not here.
 xla::Literal lit_f64(const double* data, std::int64_t n);
 xla::Literal lit_i64(const std::int64_t* data, std::int64_t n);
+/// Widen a flag buffer into an owned i64 Literal.
 xla::Literal lit_u8_as_i64(const std::uint8_t* data, std::int64_t n);
 
 /// Copy a result Literal back into a raw buffer.

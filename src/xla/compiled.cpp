@@ -793,8 +793,17 @@ std::shared_ptr<const FusedExecutable> FusedExecutable::lower(
       mat[static_cast<std::size_t>(in.operands[1])] = 1;
     }
   }
+  // Uses per value, each root listing counting as one: a computed value
+  // with exactly one use that is a scatter base is dead after that scatter.
+  std::vector<int> uses(n, 0);
   for (const auto r : m.roots) {
     mat[static_cast<std::size_t>(r)] = 1;
+    ++uses[static_cast<std::size_t>(r)];
+  }
+  for (const auto& in : m.instructions) {
+    for (const auto op : in.operands) {
+      ++uses[static_cast<std::size_t>(op)];
+    }
   }
 
   auto exe = std::shared_ptr<FusedExecutable>(new FusedExecutable());
@@ -876,6 +885,10 @@ std::shared_ptr<const FusedExecutable> FusedExecutable::lower(
         loop.kind = LoopKind::kScatter;
         loop.scatter_set = in.opcode == Opcode::kScatterSet;
         loop.base_slot = base;
+        loop.base_dead = uses[static_cast<std::size_t>(base)] == 1 &&
+                         m.at(base).opcode != Opcode::kParam &&
+                         m.at(base).opcode != Opcode::kConstant;
+        exe->n_in_place_ += loop.base_dead ? 1 : 0;
         loop.idx_slot = idx;
         loop.domain = m.at(idx).shape.num_elements();
         loop.value_reg = ll.lower(upd, {});
@@ -1034,8 +1047,15 @@ void exec_loop(const Loop& loop, const HloModule& m, ExecState& st,
     }
     case LoopKind::kScatter: {
       // Same order as eval.cpp: copy the base, then apply updates in
-      // ascending index order, dropping out-of-range lanes.
-      out = *(*st.vals)[static_cast<std::size_t>(loop.base_slot)];
+      // ascending index order, dropping out-of-range lanes.  A dead base
+      // needs no copy: nothing reads it again, so update it in place.
+      const auto b = static_cast<std::size_t>(loop.base_slot);
+      if (loop.base_dead) {
+        out = std::move(res.owned[b]);
+        res.vals[b] = nullptr;
+      } else {
+        out = *(*st.vals)[b];
+      }
       const auto idxs =
           (*st.vals)[static_cast<std::size_t>(loop.idx_slot)]->i64();
       const std::int64_t t = out.num_elements();
@@ -1121,7 +1141,7 @@ std::vector<Literal> execute_compiled(const Compiled& compiled,
   if (!compiled.fused) {
     compiled.fused = FusedExecutable::lower(compiled);
   }
-  const auto res = compiled.fused->run(m, args);
+  auto res = compiled.fused->run(m, args);
 
   if (report != nullptr) {
     *report = detail::build_report(
@@ -1131,10 +1151,19 @@ std::vector<Literal> execute_compiled(const Compiled& compiled,
         });
   }
 
+  // The report has read the scatter indices, so computed roots can move
+  // out.  Params and constants are copied (a borrowed argument becomes
+  // owned), and so is every listing of a root but its last.
   std::vector<Literal> outputs;
   outputs.reserve(m.roots.size());
-  for (const auto r : m.roots) {
-    outputs.push_back(*res.vals[static_cast<std::size_t>(r)]);
+  for (auto it = m.roots.begin(); it != m.roots.end(); ++it) {
+    const auto r = static_cast<std::size_t>(*it);
+    const bool owned = res.vals[r] == &res.owned[r];
+    if (owned && std::find(it + 1, m.roots.end(), *it) == m.roots.end()) {
+      outputs.push_back(std::move(res.owned[r]));
+    } else {
+      outputs.push_back(*res.vals[r]);
+    }
   }
   return outputs;
 }

@@ -166,6 +166,10 @@ struct Loop {
   int base_slot = -1;         // scatter base (materialized)
   int idx_slot = -1;          // scatter indices (materialized)
   bool scatter_set = false;
+  // The base is a computed value whose only use is this scatter and
+  // which is not a root: its storage becomes the result (updated in
+  // place) instead of being copied.
+  bool base_dead = false;
   int n_f64 = 0;  // register pool sizes this loop needs
   int n_i64 = 0;
   int n_pred = 0;
@@ -187,7 +191,9 @@ class FusedExecutable {
     std::vector<Literal> owned;
     /// Per-instruction view: params point at args, constants at the
     /// module payload, computed values at `owned`.  Non-materialized
-    /// instructions stay nullptr — they only ever existed inside a loop.
+    /// instructions stay nullptr — they only ever existed inside a loop
+    /// — and so does a dead scatter base once its storage has moved into
+    /// the scatter's result.
     std::vector<const Literal*> vals;
   };
 
@@ -198,12 +204,15 @@ class FusedExecutable {
   std::size_t loop_count() const { return loops_.size(); }
   std::size_t step_count() const;
   std::size_t materialized_count() const { return n_materialized_; }
+  /// Scatter loops that update a dead base in place.
+  std::size_t in_place_count() const { return n_in_place_; }
 
  private:
   FusedExecutable() = default;
 
   std::vector<fused::Loop> loops_;
   std::size_t n_materialized_ = 0;
+  std::size_t n_in_place_ = 0;
   int max_f64_ = 0;  // register pool high-water marks across loops
   int max_i64_ = 0;
   int max_pred_ = 0;

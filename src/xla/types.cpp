@@ -1,6 +1,8 @@
 #include "xla/types.hpp"
 
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 namespace toast::xla {
 
@@ -73,41 +75,111 @@ Literal Literal::scalar_pred(bool v) {
   return l;
 }
 
+template <typename T>
+std::span<const T> Literal::read() const {
+  const auto& v = std::get<std::vector<T>>(data_);  // throws on dtype
+  if (view_ != nullptr) {
+    return {static_cast<const T*>(view_),
+            static_cast<std::size_t>(num_elements())};
+  }
+  return v;
+}
+
+template <typename T>
+std::span<T> Literal::write() {
+  auto& v = std::get<std::vector<T>>(data_);
+  if (view_ != nullptr) {
+    const T* p = static_cast<const T*>(view_);
+    v.assign(p, p + num_elements());
+    view_ = nullptr;
+  }
+  return v;
+}
+
+Literal::Literal(const Literal& o)
+    : shape_(o.shape_), dtype_(o.dtype_), data_(o.data_) {
+  if (o.view_ != nullptr) {
+    // A copy is owned: deep-copy the view into the (empty) alternative.
+    std::visit(
+        [&o](auto& v) {
+          using T = typename std::decay_t<decltype(v)>::value_type;
+          const auto src = o.read<T>();
+          v.assign(src.begin(), src.end());
+        },
+        data_);
+  }
+}
+
+Literal& Literal::operator=(const Literal& o) {
+  if (this != &o) {
+    *this = Literal(o);
+  }
+  return *this;
+}
+
+Literal::Literal(Literal&& o) noexcept
+    : shape_(std::move(o.shape_)),
+      dtype_(o.dtype_),
+      data_(std::move(o.data_)),
+      view_(std::exchange(o.view_, nullptr)) {}
+
+Literal& Literal::operator=(Literal&& o) noexcept {
+  shape_ = std::move(o.shape_);
+  dtype_ = o.dtype_;
+  data_ = std::move(o.data_);
+  view_ = std::exchange(o.view_, nullptr);
+  return *this;
+}
+
+Literal Literal::borrow_f64(Shape shape, const double* data) {
+  Literal l;
+  l.shape_ = std::move(shape);
+  l.dtype_ = DType::kF64;
+  l.data_ = std::vector<double>();
+  l.view_ = data;
+  return l;
+}
+
+Literal Literal::borrow_i64(Shape shape, const std::int64_t* data) {
+  Literal l;
+  l.shape_ = std::move(shape);
+  l.dtype_ = DType::kI64;
+  l.data_ = std::vector<std::int64_t>();
+  l.view_ = data;
+  return l;
+}
+
 Literal Literal::from_f64(Shape shape, std::span<const double> data) {
-  Literal l(std::move(shape), DType::kF64);
-  if (static_cast<std::int64_t>(data.size()) != l.num_elements()) {
+  if (static_cast<std::int64_t>(data.size()) != shape.num_elements()) {
     throw std::invalid_argument("Literal::from_f64: size mismatch");
   }
-  std::copy(data.begin(), data.end(), l.f64().begin());
+  Literal l;
+  l.shape_ = std::move(shape);
+  l.dtype_ = DType::kF64;
+  l.data_ = std::vector<double>(data.begin(), data.end());
   return l;
 }
 
 Literal Literal::from_i64(Shape shape, std::span<const std::int64_t> data) {
-  Literal l(std::move(shape), DType::kI64);
-  if (static_cast<std::int64_t>(data.size()) != l.num_elements()) {
+  if (static_cast<std::int64_t>(data.size()) != shape.num_elements()) {
     throw std::invalid_argument("Literal::from_i64: size mismatch");
   }
-  std::copy(data.begin(), data.end(), l.i64().begin());
+  Literal l;
+  l.shape_ = std::move(shape);
+  l.dtype_ = DType::kI64;
+  l.data_ = std::vector<std::int64_t>(data.begin(), data.end());
   return l;
 }
 
-std::span<double> Literal::f64() {
-  return std::get<std::vector<double>>(data_);
-}
-std::span<const double> Literal::f64() const {
-  return std::get<std::vector<double>>(data_);
-}
-std::span<std::int64_t> Literal::i64() {
-  return std::get<std::vector<std::int64_t>>(data_);
-}
+std::span<double> Literal::f64() { return write<double>(); }
+std::span<const double> Literal::f64() const { return read<double>(); }
+std::span<std::int64_t> Literal::i64() { return write<std::int64_t>(); }
 std::span<const std::int64_t> Literal::i64() const {
-  return std::get<std::vector<std::int64_t>>(data_);
+  return read<std::int64_t>();
 }
-std::span<std::uint8_t> Literal::pred() {
-  return std::get<std::vector<std::uint8_t>>(data_);
-}
+std::span<std::uint8_t> Literal::pred() { return write<std::uint8_t>(); }
 std::span<const std::uint8_t> Literal::pred() const {
-  return std::get<std::vector<std::uint8_t>>(data_);
+  return read<std::uint8_t>();
 }
 
 double Literal::as_double(std::int64_t i) const {

@@ -58,16 +58,32 @@ class Shape {
 };
 
 /// A concrete array value: shape + dtype + host storage.
+///
+/// The storage is either owned or a borrowed read-only view of caller
+/// memory (borrow_f64 / borrow_i64), which is how kernel arguments cross
+/// the call boundary without a copy.  Const access to a borrowed literal
+/// aliases the caller's buffer; copying it, or taking mutable access,
+/// first makes an owned deep copy, so nothing can write through to the
+/// caller.  The caller's buffer must outlive every read of the view.
 class Literal {
  public:
   Literal() : dtype_(DType::kF64) {}
   Literal(Shape shape, DType dtype);
+
+  Literal(const Literal& o);
+  Literal& operator=(const Literal& o);
+  Literal(Literal&& o) noexcept;
+  Literal& operator=(Literal&& o) noexcept;
 
   static Literal scalar_f64(double v);
   static Literal scalar_i64(std::int64_t v);
   static Literal scalar_pred(bool v);
   static Literal from_f64(Shape shape, std::span<const double> data);
   static Literal from_i64(Shape shape, std::span<const std::int64_t> data);
+  static Literal borrow_f64(Shape shape, const double* data);
+  static Literal borrow_i64(Shape shape, const std::int64_t* data);
+
+  bool borrowed() const { return view_ != nullptr; }
 
   const Shape& shape() const { return shape_; }
   DType dtype() const { return dtype_; }
@@ -87,11 +103,19 @@ class Literal {
   double as_double(std::int64_t i) const;
 
  private:
+  template <typename T>
+  std::span<const T> read() const;
+  template <typename T>
+  std::span<T> write();
+
   Shape shape_;
   DType dtype_;
+  // The alternative always names the dtype; a borrowed literal keeps it
+  // empty and reads through view_ instead.
   std::variant<std::vector<double>, std::vector<std::int64_t>,
                std::vector<std::uint8_t>>
       data_;
+  const void* view_ = nullptr;
 };
 
 }  // namespace toast::xla

@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "accel/sim_device.hpp"
+#include "core/context.hpp"
 #include "fault/fault.hpp"
+#include "kernels/jax.hpp"
 #include "mpisim/job.hpp"
 #include "obs/trace.hpp"
 #include "sim/satellite.hpp"
@@ -399,6 +402,52 @@ TEST(FaultRecovery, PersistentLaunchFaultsFallBackToCpu) {
   EXPECT_GT(r.fault_counters.at("fault_fallbacks"), 0.0);
   EXPECT_GT(r.fault_counters.at("fault_launch_retries"), 0.0);
   EXPECT_FALSE(r.degraded_kernels.empty());
+}
+
+TEST(FaultRecovery, ThrowingJaxCallLeavesCallerBuffersUntouched) {
+  // The jax twin of PlanFaults.MidRunDegradeCountsReplans.  The launch
+  // probe fires after the values are computed, and on a persistent fault
+  // the pipeline re-runs build_noise_weighted on the host against the
+  // same zmap, so the throwing call must not have written through its
+  // borrowed arguments.
+  core::ExecConfig cfg;
+  cfg.backend = core::Backend::kJax;
+  cfg.fault_plan =
+      one_rule(FaultKind::kLaunch, 1.0, "xla/build_noise_weighted");
+  core::ExecContext ctx(cfg);
+
+  const std::int64_t n_det = 2, n_samp = 300, nnz = 3, n_pix = 192;
+  const std::vector<core::Interval> intervals = {{0, 140}, {150, 300}};
+  std::vector<std::int64_t> pixels(static_cast<std::size_t>(n_det * n_samp));
+  std::vector<double> weights(static_cast<std::size_t>(nnz * n_det * n_samp));
+  std::vector<double> signal(pixels.size());
+  std::vector<double> zmap(static_cast<std::size_t>(n_pix * nnz));
+  for (std::size_t i = 0; i < pixels.size(); ++i) {
+    pixels[i] = static_cast<std::int64_t>((i * 37) % n_pix);
+    signal[i] = std::sin(static_cast<double>(i) * 0.3);
+  }
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = std::cos(static_cast<double>(i) * 0.2);
+  }
+  for (std::size_t i = 0; i < zmap.size(); ++i) {
+    zmap[i] = 0.5 + static_cast<double>(i);
+  }
+  const std::vector<double> det_scale = {1.0, 0.8};
+  const auto pixels0 = pixels;
+  const auto weights0 = weights;
+  const auto signal0 = signal;
+  const auto zmap0 = zmap;
+
+  EXPECT_THROW(toast::kernels::jax::build_noise_weighted(
+                   pixels.data(), weights.data(), n_pix, nnz, signal.data(),
+                   det_scale.data(), nullptr, 0, intervals, n_det, n_samp,
+                   zmap.data(), ctx),
+               fault::PersistentFaultError);
+  EXPECT_EQ(std::memcmp(zmap.data(), zmap0.data(), zmap.size() * 8), 0);
+  EXPECT_EQ(pixels, pixels0);
+  EXPECT_EQ(std::memcmp(weights.data(), weights0.data(), weights.size() * 8),
+            0);
+  EXPECT_EQ(std::memcmp(signal.data(), signal0.data(), signal.size() * 8), 0);
 }
 
 TEST(FaultRecovery, RankFailuresReplayBoundedly) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <tuple>
+#include <variant>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -488,6 +489,53 @@ TEST(XlaLiteral, TypedAccessAndValidation) {
   EXPECT_THROW(Shape({1, 2, 3}), std::invalid_argument);
 }
 
+TEST(XlaLiteral, BorrowedArgumentsAreReadOnlyViews) {
+  std::vector<double> buf = {1.0, -2.5, 3.25, 4.0};
+  std::vector<std::int64_t> ibuf = {3, 0, 3, 7};
+  const std::vector<double> buf0 = buf;
+  const Literal b = Literal::borrow_f64(Shape{4}, buf.data());
+  const Literal ib = Literal::borrow_i64(Shape{4}, ibuf.data());
+  EXPECT_TRUE(b.borrowed());
+  EXPECT_EQ(b.f64().data(), buf.data());  // const access aliases
+  EXPECT_EQ(ib.i64().data(), ibuf.data());
+  EXPECT_THROW(b.i64(), std::bad_variant_access);  // the dtype still holds
+  EXPECT_EQ(b.byte_size(), 32u);
+
+  // A copy is owned: different storage, equal bytes.
+  const Literal copy = b;
+  EXPECT_FALSE(copy.borrowed());
+  EXPECT_NE(copy.f64().data(), buf.data());
+  EXPECT_EQ(std::memcmp(copy.f64().data(), buf.data(), b.byte_size()), 0);
+
+  // Mutable access detaches first; the caller's buffer is untouched.
+  Literal m = b;
+  m = b;  // copy assignment too
+  Literal w = Literal::borrow_f64(Shape{4}, buf.data());
+  w.f64()[0] = 99.0;
+  EXPECT_FALSE(w.borrowed());
+  EXPECT_EQ(w.f64()[0], 99.0);
+  EXPECT_EQ(w.f64()[1], -2.5);
+  EXPECT_EQ(std::memcmp(buf.data(), buf0.data(), sizeof(double) * 4), 0);
+
+  // Moving keeps the view (no copy); the moved-from literal is not read.
+  Literal moved = Literal::borrow_f64(Shape{4}, buf.data());
+  const Literal to = std::move(moved);
+  EXPECT_TRUE(to.borrowed());
+  EXPECT_EQ(to.f64().data(), buf.data());
+
+  // A scatter through the interpreter (which copies its params) leaves
+  // the borrowed base and indices byte-identical.
+  Fixture f;
+  f.rt.set_executor(xla::ExecMode::kInterpreted);
+  xla::Jit fn("borrowed_scatter", [](const std::vector<Array>& in) {
+    return std::vector<Array>{xla::scatter_add(in[0], in[1], in[0] * 2.0)};
+  });
+  const auto out = fn.call(f.rt, {b, ib});
+  EXPECT_EQ(std::memcmp(buf.data(), buf0.data(), sizeof(double) * 4), 0);
+  EXPECT_EQ(ibuf, (std::vector<std::int64_t>{3, 0, 3, 7}));
+  EXPECT_EQ(out[0].f64()[3], 4.0 + 2.0 * 1.0 + 2.0 * 3.25);
+}
+
 // ---------------------------------------------------------------------------
 // Fused-loop executor (xla/compiled.hpp): the interpreter is the oracle.
 // ---------------------------------------------------------------------------
@@ -906,4 +954,68 @@ TEST(XlaCompiled, ParityComposedTransformsAcrossBlocks) {
   expect_bitwise_parity(
       fn, {Literal::from_f64(Shape{kRows}, r), Literal::from_f64(Shape{kCols}, c),
            Literal::from_f64(Shape{kRows * kCols}, g)});
+}
+
+TEST(XlaCompiled, ParityInPlaceScatterChain) {
+  // A 3-deep scatter_add chain on a param base, as build_noise_weighted
+  // builds: the two intermediate bases are dead after their scatter and
+  // are updated in place.  Around it: a scatter base with a second
+  // consumer, a scatter base that is also a root, a param root and a
+  // root listed twice, none of which may be moved.
+  constexpr std::int64_t kPix = 1500;
+  constexpr std::int64_t kSamp = 2600;  // crosses block edges
+  xla::Jit fn("inplace", [](const std::vector<Array>& in) {
+    const Array& map = in[0];
+    const Array& pix = in[1];
+    const Array& sig = in[2];
+    Array z = map;
+    for (int k = 0; k < 3; ++k) {
+      z = xla::scatter_add(z, pix, sig * static_cast<double>(k + 1));
+    }
+    const Array shared = map * 0.5;  // base of a scatter and read again
+    const Array s2 = xla::scatter_add(shared, pix, sig);
+    const Array rooted = map + 1.0;  // base of a scatter and a root
+    const Array s3 = xla::scatter_set(rooted, pix, sig);
+    const Array twice = xla::scatter_add(map * 2.0, pix, sig);
+    return std::vector<Array>{z,     s2 + shared, rooted, s3,
+                              in[2], twice,       twice};
+  });
+  std::vector<double> map(kPix), sig(kSamp);
+  std::vector<std::int64_t> pix(kSamp);
+  for (std::size_t i = 0; i < map.size(); ++i) {
+    map[i] = std::cos(static_cast<double>(i) * 0.1);
+  }
+  for (std::size_t i = 0; i < sig.size(); ++i) {
+    sig[i] = std::sin(static_cast<double>(i) * 0.7) * 3.0;
+    // Unsorted, repeated and out-of-range indices.
+    pix[i] = static_cast<std::int64_t>((i * 7919) % (kPix + 40)) - 20;
+  }
+  const auto map0 = map;
+  const auto sig0 = sig;
+  const auto pix0 = pix;
+  const std::vector<Literal> args = {
+      Literal::borrow_f64(Shape{kPix}, map.data()),
+      Literal::borrow_i64(Shape{kSamp}, pix.data()),
+      Literal::borrow_f64(Shape{kSamp}, sig.data())};
+  expect_bitwise_parity(fn, args);
+  EXPECT_EQ(map, map0);
+  EXPECT_EQ(sig, sig0);
+  EXPECT_EQ(pix, pix0);
+
+  // Outputs are owned, and a param root is a copy, not the caller's
+  // buffer.
+  const auto* compiled = fn.lookup(args);
+  ASSERT_NE(compiled, nullptr);
+  const auto out = xla::execute_compiled(*compiled, args);
+  // The chain's two intermediate bases and the base of `twice`.
+  EXPECT_EQ(compiled->fused->in_place_count(), 3u);
+  ASSERT_EQ(out.size(), 7u);
+  for (const auto& o : out) {
+    EXPECT_FALSE(o.borrowed());
+  }
+  EXPECT_NE(out[4].f64().data(), sig.data());
+  EXPECT_EQ(std::memcmp(out[4].f64().data(), sig.data(), out[4].byte_size()),
+            0);
+  EXPECT_NE(out[5].f64().data(), out[6].f64().data());
+  EXPECT_EQ(map, map0);
 }
