@@ -13,7 +13,7 @@
 //     products and TimeLog must stay bitwise equal to the serial run
 //     while the placed makespan may only shrink.
 //   - "solver": the distributed destriper CG in its three comm modes.
-//     kSync (serial engine) must be bitwise equal to kStaged; kOverlap
+//     kSync must be bitwise equal to kStaged; kOverlap
 //     must keep the products bitwise and beat kStaged by the pipelining
 //     floor (scripts/check_bench.py --async asserts >= 1.1x), hiding the
 //     collectives behind the next matvec.

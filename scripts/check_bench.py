@@ -393,7 +393,7 @@ def check_async(path):
 
     solver = doc["solver"]
     check(solver["sync_equal"],
-          "solver: serial engine bitwise-equal to staged collectives")
+          "solver: sync mode bitwise-equal to staged collectives")
     check(solver["overlap_products_equal"],
           "solver: overlap mode leaves amplitudes/residuals bitwise")
     check(solver["overlap_speedup"] >= ASYNC_MIN_OVERLAP,

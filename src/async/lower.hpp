@@ -23,19 +23,31 @@
 #include <string>
 #include <vector>
 
-#include "async/engine.hpp"
 #include "async/task.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 
 namespace toast::async {
 
+enum class Mode {
+  kSerial,   ///< report the dependency structure; the clock is the driver's
+  kOverlap,  ///< re-time the executed tasks and land the clock on the makespan
+};
+
+struct Options {
+  Mode mode = Mode::kSerial;
+};
+
+/// First Tracer stream id of the lanes below (clear of the sched stream
+/// ids, which start at 0).  Lane i traces on stream kLaneBase + i.
+inline constexpr int kLaneBase = 32;
+
 /// Lane indices of the lowered graph (TaskGraph::lane_names order).
 enum : int {
   kLaneHost = 0,     ///< serial driver: overhead, ensure, host patches
   kLaneCompute = 1,  ///< device kernels, device alloc/evict
   kLaneCopy = 2,     ///< H2D/D2H transfers, prefetch drains
-  kLaneComm = 3,     ///< collectives (reserved for the solver face)
+  kLaneComm = 3,     ///< collectives (the destriper's CG allreduces)
 };
 
 struct LaneStat {

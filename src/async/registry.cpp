@@ -22,10 +22,6 @@ const char* to_string(TaskKind k) {
       return "evict";
     case TaskKind::kSyncTransfers:
       return "sync_transfers";
-    case TaskKind::kCollective:
-      return "collective";
-    case TaskKind::kWait:
-      return "wait";
   }
   return "unknown";
 }
@@ -45,7 +41,6 @@ int TaskRegistry::add(Task t, const std::vector<ResourceUse>& uses) {
     if (use.write) {
       r.last_writer = id;
       r.readers.clear();
-      r.epoch += 1;
     } else {
       r.readers.push_back(id);
     }
@@ -61,11 +56,6 @@ int TaskRegistry::add_alt(Task t) {
   t.id = idx;
   graph_.alt_tasks.push_back(std::move(t));
   return idx;
-}
-
-std::int64_t TaskRegistry::epoch_of(const std::string& resource) const {
-  auto it = res_.find(resource);
-  return it == res_.end() ? 0 : it->second.epoch;
 }
 
 }  // namespace toast::async

@@ -3,17 +3,15 @@
 // Dependency derivation for the task graph (docs/MODEL.md §11).
 //
 // Producers declare which named resources a task reads or writes; the
-// registry keeps a per-resource version table {last_writer, readers,
-// epoch} and derives the task's data dependencies from it:
+// registry keeps a per-resource table {last_writer, readers} and derives
+// the task's data dependencies from it:
 //   read  after write  (RAW): depend on the last writer;
 //   write after write  (WAW): depend on the last writer;
 //   write after read   (WAR): depend on every reader since that write.
-// A write retires the reader list and bumps the resource epoch — the
-// version number Futures pin (future.hpp).  Dependency lists come out
-// sorted and deduplicated, so graph construction is deterministic for
-// a given submission order.
+// A write retires the reader list.  Dependency lists come out sorted and
+// deduplicated, so graph construction is deterministic for a given
+// submission order.
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -44,14 +42,10 @@ class TaskRegistry {
   /// committed).  Returns the alt index.
   int add_alt(Task t);
 
-  /// Current version of a resource (0: never written).
-  std::int64_t epoch_of(const std::string& resource) const;
-
  private:
   struct Res {
     int last_writer = -1;
     std::vector<int> readers;  ///< readers since the last write
-    std::int64_t epoch = 0;
   };
 
   TaskGraph& graph_;

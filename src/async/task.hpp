@@ -1,15 +1,15 @@
 #pragma once
 
-// Task-graph vocabulary of the async runtime (docs/MODEL.md §11).
+// Task-graph vocabulary of the pipeline post-pass (docs/MODEL.md §11).
 //
 // A Task is one unit of pipeline work — a kernel launch, an H2D/D2H
-// transfer, an eviction, a collective step — with *explicit data
-// dependencies* (indices of earlier tasks) instead of the implicit
-// program-order dependencies of staged replay.  A lowered pipeline graph
-// has one task per plan step (lower.hpp); core::execute_plan runs the
-// steps, and the graph only describes them: which lane each one occupies,
-// which earlier tasks it waits for, and — once the run is over — when it
-// started and what it cost.
+// transfer, an eviction — with *explicit data dependencies* (indices of
+// earlier tasks) instead of the implicit program-order dependencies of
+// staged replay.  A lowered pipeline graph has one task per plan step
+// (lower.hpp); core::execute_plan runs the steps, and the graph only
+// describes them: which lane each one occupies, which earlier tasks it
+// waits for, and — once the run is over — when it started and what it
+// cost.
 //
 // Determinism rules (the §11 contract): task ids are submission order,
 // dependency lists are sorted and placement walks tasks in the driver's
@@ -31,11 +31,9 @@ enum class TaskKind : std::uint8_t {
   kDownload,       ///< D2H transfer
   kEvict,          ///< drop a device mapping
   kSyncTransfers,  ///< drain the prefetch copy engine
-  kCollective,     ///< one communication collective (allreduce, ...)
-  kWait,           ///< explicit await of a future (slack charge)
 };
 
-inline constexpr int kNumTaskKinds = 10;
+inline constexpr int kNumTaskKinds = 8;
 
 const char* to_string(TaskKind k);
 

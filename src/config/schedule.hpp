@@ -63,7 +63,7 @@ enum class CommAlgorithm {
 /// Solver collective scheduling mode (docs/MODEL.md §11).
 enum class SolverComm {
   kStaged,   ///< blocking charge at the call site (historical behaviour)
-  kSync,     ///< async engine, serial mode (the bitwise oracle)
+  kSync,     ///< blocking, like kStaged (kept for schedules and the ladder)
   kOverlap,  ///< depth-1 pipelined CG collectives
 };
 
@@ -130,7 +130,8 @@ struct ScheduleConfig {
   /// Backend manifest slot name ("cpu", "omp-target", "jax", "jax-cpu").
   std::string backend = "cpu";
   StagingConfig staging;
-  /// Device stream count both backend runtimes schedule on.
+  /// Device stream count the xla runtime schedules on (omp-target and
+  /// cpu rows ignore it).
   int streams = 1;
   CommConfig comm;
   SolverConfig solver;

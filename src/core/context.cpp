@@ -24,10 +24,10 @@ ExecContext::ExecContext(const ExecConfig& config)
   omp_rt_.set_work_scale(config.work_scale);
   jax_rt_.set_work_scale(config.work_scale);
   if (config.schedule.streams > 1) {
-    // The schedule's stream count drives both backend runtimes; the
-    // default (1) leaves them exactly as constructed, bit-for-bit.
+    // The schedule's stream count reaches only the xla runtime (no omp
+    // op is stream-scheduled); the default (1) leaves it exactly as
+    // constructed, bit-for-bit.
     jax_rt_.set_streams(config.schedule.streams);
-    omp_rt_.scheduler().set_streams(config.schedule.streams);
   }
   if (config.backend == Backend::kJax &&
       config.schedule.device.jax_preallocate) {

@@ -36,8 +36,8 @@ struct ExecConfig {
   /// (e.g. (512/nside)^2 for production-resolution maps).
   double map_scale = 1.0;
   /// The unified schedule-space view of this process (docs/MODEL.md §12).
-  /// The context applies its stream count to both backend runtimes and
-  /// reads the JAX pool-preallocation flag from it; `backend` above is
+  /// The context applies its stream count to the xla runtime and reads
+  /// the JAX pool-preallocation flag from it; `backend` above is
   /// the *resolved* dispatch default — callers deriving an ExecConfig
   /// from a ScheduleConfig (mpisim does) keep the two coherent.
   config::ScheduleConfig schedule;

@@ -5,8 +5,9 @@
 // PR 3 gave the stack deterministic fault *injection*; recovery, however,
 // was a scatter of hard-coded knobs: one global retry budget in the fault
 // plan, fixed in-place rank replay in mpisim, a trace-only task-requeue
-// note in the async engine.  A resilience Policy replaces those knobs
-// with per-site declarations the subsystems consult through one API:
+// note in the destriper's comm lane.  A resilience Policy replaces those
+// knobs with per-site declarations the subsystems consult through one
+// API:
 //
 //   - per-site retry budgets with backoff (overriding the fault plan's
 //     single global RetrySpec for matching hook sites),

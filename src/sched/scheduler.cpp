@@ -123,10 +123,6 @@ Scheduler::Scheduler(accel::SimDevice& device, accel::VirtualClock& clock,
       backend_(std::move(backend)),
       stream_ready_(static_cast<std::size_t>(std::max(1, n_streams)), 0.0) {}
 
-void Scheduler::set_streams(int n) {
-  stream_ready_.resize(static_cast<std::size_t>(std::max(1, n)), 0.0);
-}
-
 StreamId Scheduler::ensure_stream(StreamId s) {
   if (s < 0) {
     throw std::out_of_range("sched: negative stream id");
@@ -217,7 +213,6 @@ double Scheduler::launch_async(StreamId s, const std::string& name,
   if (t > t_base && faults_ != nullptr) {
     faults_->note_straggler(name, start + t_base, t - t_base);
   }
-  ops_.push_back({OpKind::kKernel, name, s, start, end, 0.0});
   return end;
 }
 
@@ -261,8 +256,6 @@ double Scheduler::transfer_async_timed(StreamId s, const std::string& name,
   device_.count_transfer(bytes, t, to_device);
   const obs::SpanId span = emit(name, "transfer", start, t, s, nullptr);
   note_direction(span, bytes, t, to_device);
-  ops_.push_back({to_device ? OpKind::kTransferH2D : OpKind::kTransferD2H,
-                  name, s, start, end, bytes});
   return end;
 }
 
@@ -280,7 +273,6 @@ double Scheduler::fill_async(StreamId s, const std::string& name,
   stream_ready_[static_cast<std::size_t>(s)] = end;
   compute_ready_ = end;
   emit(name, "transfer", start, t, s, nullptr);
-  ops_.push_back({OpKind::kFill, name, s, start, end, bytes});
   return end;
 }
 
@@ -320,8 +312,6 @@ double Scheduler::transfer_sync(const std::string& name, double bytes,
         tracer_->record(name, "transfer", t, backend_);
     note_direction(span, bytes, t, to_device);
   }
-  ops_.push_back({to_device ? OpKind::kTransferH2D : OpKind::kTransferD2H,
-                  name, -1, end - t, end, bytes});
   return end;
 }
 
@@ -345,7 +335,6 @@ double Scheduler::kernel_sync(const std::string& name,
   if (tracer_ != nullptr) {
     tracer_->record(name, "kernel", t, backend_, &work);
   }
-  ops_.push_back({OpKind::kKernel, name, -1, end - t, end, 0.0});
   return end;
 }
 
@@ -358,7 +347,6 @@ double Scheduler::fill_sync(const std::string& name, double bytes) {
   if (tracer_ != nullptr) {
     tracer_->record(name, "transfer", t, backend_);
   }
-  ops_.push_back({OpKind::kFill, name, -1, end - t, end, bytes});
   return end;
 }
 

@@ -44,18 +44,6 @@ using StreamId = int;
 using EventId = std::int64_t;
 inline constexpr EventId kNoEvent = -1;
 
-enum class OpKind { kKernel, kTransferH2D, kTransferD2H, kFill };
-
-/// One placed op (async or sync), for inspection and occupancy reports.
-struct OpRecord {
-  OpKind kind = OpKind::kKernel;
-  std::string name;
-  StreamId stream = -1;  // -1: host-synchronous op, no stream
-  double start = 0.0;    // virtual seconds
-  double end = 0.0;
-  double bytes = 0.0;  // transfers/fills only
-};
-
 // --- relative-time batch scheduling (the XLA path) -------------------------
 
 /// One kernel in a dependency DAG to be placed onto streams.
@@ -151,9 +139,8 @@ class Scheduler {
             obs::Tracer* tracer = nullptr, int n_streams = 1,
             std::string backend = {});
 
+  /// Streams grow on demand when an op names a new stream id.
   int n_streams() const { return static_cast<int>(stream_ready_.size()); }
-  /// Streams also grow on demand when an op names a new stream id.
-  void set_streams(int n);
 
   /// Attach a fault injector (nullptr detaches).  Not owned.  Kernel and
   /// transfer ops then probe for injected failures: sync ops charge
@@ -224,7 +211,6 @@ class Scheduler {
   double pending_transfer_completion() const;
   /// True when nothing is in flight beyond the current clock time.
   bool idle() const;
-  const std::vector<OpRecord>& ops() const { return ops_; }
 
  private:
   StreamId ensure_stream(StreamId s);
@@ -247,7 +233,6 @@ class Scheduler {
   double link_ready_ = 0.0;
   double compute_ready_ = 0.0;
   std::vector<double> events_;
-  std::vector<OpRecord> ops_;
 };
 
 }  // namespace toast::sched

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
+#include "async/lower.hpp"
 #include "kernels/cpu.hpp"
 #include "kernels/jax.hpp"
 #include "kernels/omptarget.hpp"
@@ -170,58 +172,70 @@ config::SolverComm ladder_mode(config::SolverComm configured, int level) {
   }
 }
 
+/// Advance the clock to `ready`, charging the slack as a logged "wait"
+/// span named `label` (no-op when `ready` has already passed).
+void await_ready(core::ExecContext& ctx, double ready,
+                 const std::string& label) {
+  const double slack = ready - ctx.clock().now();
+  if (slack <= 0.0) {
+    return;
+  }
+  ctx.clock().advance(slack);
+  ctx.tracer().record(label, "wait", slack);
+}
+
+/// Tracer stream of the overlap comm lane.
+constexpr int kCommStream = async::kLaneBase + async::kLaneComm;
+
 }  // namespace
+
+double Destriper::allreduce_seconds(core::ExecContext& ctx, double bytes,
+                                    const char* label, double start) const {
+  const comm::Engine engine(comm::Topology::cluster(
+      live_ranks_, std::max(1, config_.comm_ranks_per_node),
+      config_.network));
+  comm::RunOptions opt;
+  opt.epoch = start;
+  opt.site = label;
+  opt.faults = &ctx.faults();
+  opt.max_chunk_bytes = config_.comm.chunk_bytes;
+  return engine.allreduce_seconds(bytes, config_.comm.algorithm, opt);
+}
 
 void Destriper::charge_allreduce(core::ExecContext& ctx, double bytes,
                                  const char* label, CommSlot slot) {
   if (live_ranks_ <= 1) {
     return;
   }
-  if (!taskrt_.has_value()) {
-    // Staged: blocking charge at the call site (the historical path).
-    const comm::Engine engine(comm::Topology::cluster(
-        live_ranks_, std::max(1, config_.comm_ranks_per_node),
-        config_.network));
-    comm::RunOptions opt;
-    opt.epoch = ctx.clock().now();
-    opt.site = label;
-    opt.faults = &ctx.faults();
-    opt.max_chunk_bytes = config_.comm.chunk_bytes;
-    const double t =
-        engine.allreduce_seconds(bytes, config_.comm.algorithm, opt);
+  if (!overlap_) {
+    // Staged (and kSync): blocking charge at the call site.
+    const double t = allreduce_seconds(ctx, bytes, label, ctx.clock().now());
     ctx.clock().advance(t);
     ctx.tracer().record(label, "comm", t);
     return;
   }
   // Depth-1 pipeline: this slot's previous reduction must have landed
-  // before the next one is issued (await is a no-op in serial mode and
-  // whenever the matvec already hid the latency).
-  taskrt_->await(pending_[static_cast<std::size_t>(slot)],
-                 std::string(label) + "_wait");
-  auto cost = [this, &ctx, bytes, label](double start) {
-    const comm::Engine engine(comm::Topology::cluster(
-        live_ranks_, std::max(1, config_.comm_ranks_per_node),
-        config_.network));
-    comm::RunOptions opt;
-    opt.epoch = start;
-    opt.site = label;
-    opt.faults = &ctx.faults();
-    opt.max_chunk_bytes = config_.comm.chunk_bytes;
-    return engine.allreduce_seconds(bytes, config_.comm.algorithm, opt);
-  };
-  pending_[static_cast<std::size_t>(slot)] =
-      taskrt_->submit(comm_lane_, label, "comm", cost);
+  // before the next one is issued (a no-op whenever the matvec already
+  // hid the latency).  The next one is placed on the lane, priced at its
+  // placed start, and the clock does not move.
+  double& ready = slot_ready_[static_cast<std::size_t>(slot)];
+  await_ready(ctx, ready, std::string(label) + "_wait");
+  const double start = std::max(ctx.clock().now(), lane_ready_);
+  const double t = allreduce_seconds(ctx, bytes, label, start);
+  lane_ready_ = start + t;
+  ready = lane_ready_;
+  const obs::SpanId span = ctx.tracer().record_at(
+      label, "comm", start, t, {}, nullptr, /*logged=*/true);
+  ctx.tracer().set_stream(span, kCommStream);
 }
 
-void Destriper::init_taskrt(core::ExecContext& ctx, config::SolverComm mode) {
-  taskrt_.reset();
-  pending_.fill(async::Future{});
-  if (live_ranks_ > 1 && mode != config::SolverComm::kStaged) {
-    async::Options aopt;
-    aopt.mode = mode == config::SolverComm::kOverlap ? async::Mode::kOverlap
-                                            : async::Mode::kSerial;
-    taskrt_.emplace(ctx.clock(), &ctx.tracer(), aopt);
-    comm_lane_ = taskrt_->lane("comm");
+void Destriper::init_comm_lane(core::ExecContext& ctx,
+                               config::SolverComm mode) {
+  overlap_ = live_ranks_ > 1 && mode == config::SolverComm::kOverlap;
+  lane_ready_ = ctx.clock().now();
+  slot_ready_.fill(lane_ready_);
+  if (overlap_) {
+    ctx.tracer().set_stream_name(kCommStream, "async:comm");
   }
 }
 
@@ -327,18 +341,17 @@ DestriperResult Destriper::solve(core::Observation& ob,
   const auto& ivals = ob.intervals();
   const auto& fp = ob.focalplane();
 
-  // Solve-scoped async runtime: kSync is the serial bitwise oracle of
-  // the staged path, kOverlap pipelines the collectives (depth-1
-  // slots) so they hide behind the next matvec.  The effective mode is
-  // the configured one stepped down the "solver_comm" ladder, and the
-  // communicator starts at the configured size (an elastic shrink
-  // drops dead ranks from it mid-solve).
+  // Comm lane: kStaged and kSync block on each collective, kOverlap
+  // pipelines them (depth-1 slots) so they hide behind the next matvec.
+  // The effective mode is the configured one stepped down the
+  // "solver_comm" ladder, and the communicator starts at the configured
+  // size (an elastic shrink drops dead ranks from it mid-solve).
   resilience::Manager& rm = ctx.resilience();
   live_ranks_ = config_.comm_ranks;
   active_comm_ = rm.armed()
                      ? ladder_mode(config_.async_comm, rm.level("solver_comm"))
                      : config_.async_comm;
-  init_taskrt(ctx, active_comm_);
+  init_comm_lane(ctx, active_comm_);
 
   std::vector<double> det_weights(static_cast<std::size_t>(n_det));
   for (std::int64_t d = 0; d < n_det; ++d) {
@@ -436,23 +449,29 @@ DestriperResult Destriper::solve(core::Observation& ob,
           !can_restore && rm.armed() && rm.allow_shrink(live_ranks_);
       if ((can_restore || can_shrink) &&
           ctx.faults().rank_failure("destriper_cg")) {
-        if (taskrt_.has_value()) {
+        if (overlap_) {
           // Roll back in-flight collectives with the solver state.
-          // With requeue enabled this is a real graph edit: the
-          // placements are cancelled (no slack charged) and the replay
-          // re-submits them; otherwise the historical drain charges
-          // their remaining latency first.
-          const int in_flight = taskrt_->pending_count();
+          // With requeue enabled the placements are cancelled (no slack
+          // charged, the lane pulled back to now) and the replay
+          // re-submits them; otherwise the drain charges their
+          // remaining latency first.
+          const double now = ctx.clock().now();
+          const auto in_flight = static_cast<int>(
+              std::count_if(slot_ready_.begin(), slot_ready_.end(),
+                            [now](double r) { return r > now; }));
           if (in_flight > 0 && rm.requeue_enabled()) {
-            taskrt_->cancel_pending("destriper_comm_requeue");
+            const obs::SpanId id = ctx.tracer().record(
+                "destriper_comm_requeue", "resilience", 0.0);
+            ctx.tracer().add_counter(id, "tasks", in_flight);
+            lane_ready_ = std::min(lane_ready_, now);
             rm.note_requeue("destriper_cg", in_flight);
           } else {
-            taskrt_->drain("destriper_comm_drain");
+            await_ready(ctx, lane_ready_, "destriper_comm_drain");
           }
           if (in_flight > 0) {
             ctx.faults().note_task_requeue("destriper_cg", in_flight);
           }
-          pending_.fill(async::Future{});
+          slot_ready_.fill(ctx.clock().now());
         }
         result.amplitudes = ckpt.amplitudes;
         r = ckpt.r;
@@ -479,7 +498,7 @@ DestriperResult Destriper::solve(core::Observation& ob,
               ladder_mode(config_.async_comm, rm.level("solver_comm"));
           if (target != active_comm_) {
             active_comm_ = target;
-            init_taskrt(ctx, target);
+            init_comm_lane(ctx, target);
           }
         }
         continue;
@@ -514,10 +533,9 @@ DestriperResult Destriper::solve(core::Observation& ob,
     }
     ++iter;
   }
-  if (taskrt_.has_value()) {
+  if (overlap_) {
     // The last iteration's collectives must land before solve returns.
-    taskrt_->drain("destriper_comm_drain");
-    taskrt_.reset();
+    await_ready(ctx, lane_ready_, "destriper_comm_drain");
   }
   return result;
 }

@@ -20,11 +20,9 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "accel/specs.hpp"
-#include "async/engine.hpp"
 #include "comm/engine.hpp"
 #include "core/context.hpp"
 #include "core/observation.hpp"
@@ -102,9 +100,9 @@ class Destriper {
   const DestriperConfig& config() const { return config_; }
 
  private:
-  /// Per-call-site communication slot (overlap mode keeps one pending
-  /// future per slot; slots never alias, so independent reductions of
-  /// one iteration don't serialize against each other).
+  /// Per-call-site communication slot (overlap mode keeps one ready
+  /// time per slot; slots never alias, so independent reductions of one
+  /// iteration don't serialize against each other).
   enum CommSlot : int {
     kSlotMap = 0,   ///< binned signal+hit map reduction
     kSlotRz,        ///< initial r.z
@@ -128,23 +126,31 @@ class Destriper {
                               core::ExecContext& ctx,
                               core::Backend backend);
 
-  /// Charge (kStaged/kSync) or submit (kOverlap) a step-scheduled
+  /// Charge (kStaged/kSync) or place (kOverlap) a step-scheduled
   /// allreduce of `bytes` across the simulated communicator (no-op for
   /// a single live rank).  Overlap mode first awaits the slot's previous
   /// reduction — the depth-1 pipeline.
   void charge_allreduce(core::ExecContext& ctx, double bytes,
                         const char* label, CommSlot slot);
 
-  /// (Re)build the solve-scoped async runtime for `mode` — called at
-  /// solve entry and whenever the "solver_comm" degradation ladder
-  /// changes the effective scheduling mode mid-solve.
-  void init_taskrt(core::ExecContext& ctx, config::SolverComm mode);
+  /// Virtual seconds of one allreduce of `bytes` started at `start`.
+  double allreduce_seconds(core::ExecContext& ctx, double bytes,
+                           const char* label, double start) const;
+
+  /// Reset the comm lane for `mode` — called at solve entry and whenever
+  /// the "solver_comm" degradation ladder changes the effective
+  /// scheduling mode mid-solve.
+  void init_comm_lane(core::ExecContext& ctx, config::SolverComm mode);
 
   DestriperConfig config_;
-  /// Solve-scoped async runtime (kSync/kOverlap with live_ranks_ > 1).
-  std::optional<async::Engine> taskrt_;
-  int comm_lane_ = -1;
-  std::array<async::Future, kNumSlots> pending_{};
+  /// Overlap comm lane (kOverlap with live_ranks_ > 1): an allreduce is
+  /// placed at max(now, lane_ready_) without advancing the clock, and
+  /// slot_ready_ holds when each slot's latest reduction lands.  Each
+  /// slot awaits its previous reduction before it submits again, so only
+  /// the latest one per slot can still be in flight.
+  bool overlap_ = false;
+  double lane_ready_ = 0.0;
+  std::array<double, kNumSlots> slot_ready_{};
   /// Communicator size of the current solve: config_.comm_ranks until an
   /// elastic world shrink drops dead ranks from it.
   int live_ranks_ = 1;

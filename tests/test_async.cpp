@@ -1,19 +1,16 @@
-// Tests of the async task-graph runtime (docs/MODEL.md §11): dependency
-// derivation from declared resource uses, the engine's incremental face
-// (serial bitwise oracle, overlap placement with explicit wait charges),
-// and the pipeline post-pass — run_plan_async bitwise against the
-// interpreter oracle, overlap re-timing under a pinned launch-chaos plan
-// that re-routes a group to its patch, and the executor degradation
-// ladder in both drives.
+// Tests of the async task-graph view (docs/MODEL.md §11): dependency
+// derivation from declared resource uses, overlap placement against
+// deps and barriers, and the pipeline post-pass — run_plan_async bitwise
+// against the interpreter oracle, overlap re-timing under a pinned
+// launch-chaos plan that re-routes a group to its patch, and the
+// executor degradation ladder in both drives.
 
-#include "async/engine.hpp"
+#include "async/lower.hpp"
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <vector>
 
-#include "async/lower.hpp"
 #include "async/registry.hpp"
 #include "core/pipeline.hpp"
 #include "fault/fault.hpp"
@@ -22,11 +19,9 @@
 #include "sim/satellite.hpp"
 #include "sim/workflow.hpp"
 
-namespace accel = toast::accel;
 namespace async = toast::async;
 namespace core = toast::core;
 namespace fault = toast::fault;
-namespace obs = toast::obs;
 namespace sim = toast::sim;
 using core::Backend;
 
@@ -155,9 +150,6 @@ TEST(TaskRegistry, DerivesRawWawWarDeps) {
             (std::vector<int>{w0, r1, r2}));
   // The second write retired the readers: only RAW on w3.
   EXPECT_EQ(g.tasks[static_cast<std::size_t>(r4)].deps, std::vector<int>{w3});
-  // Each write bumped the version.
-  EXPECT_EQ(reg.epoch_of("x"), 2);
-  EXPECT_EQ(reg.epoch_of("never_touched"), 0);
 }
 
 TEST(TaskRegistry, DisjointResourcesStayIndependent) {
@@ -181,36 +173,15 @@ TEST(TaskRegistry, PatchTasksBypassTheVersionTable) {
   EXPECT_EQ(alt, 0);
   ASSERT_EQ(g.alt_tasks.size(), 1u);
   EXPECT_TRUE(g.alt_tasks[0].deps.empty());
-  EXPECT_EQ(reg.epoch_of("x"), 1);  // the patch did not bump anything
+  // The patch left the version table alone: a reader still depends on
+  // the body, not on the patch.
+  const int r = reg.add(named("reader"), {async::reads("x")});
+  EXPECT_EQ(g.tasks[static_cast<std::size_t>(r)].deps, std::vector<int>{0});
 }
 
-// --- serial face: the bitwise oracle ----------------------------------------
+// --- overlap placement ------------------------------------------------------
 
-TEST(Engine, SerialSubmitChargesLikeTheBlockingCall) {
-  accel::VirtualClock clock;
-  obs::Tracer tracer(&clock);
-  async::Engine eng(clock, &tracer);  // Mode::kSerial
-  const int lane = eng.lane("comm");
-  const auto f =
-      eng.submit(lane, "allreduce", "comm", [](double) { return 0.25; });
-  // Serial submit charges immediately: the future is already resolved.
-  EXPECT_EQ(clock.now(), 0.25);
-  EXPECT_EQ(f.ready, 0.25);
-  EXPECT_EQ(eng.pending_count(), 0);
-  EXPECT_EQ(eng.await(f, "allreduce_wait"), 0.0);
-  EXPECT_EQ(eng.drain("drain"), 0.0);
-  EXPECT_EQ(clock.now(), 0.25);  // the no-op await charged nothing
-
-  // Bit-for-bit what the blocking code would have logged.
-  accel::VirtualClock manual_clock;
-  obs::Tracer manual(&manual_clock);
-  manual_clock.advance(0.25);
-  manual.record("allreduce", "comm", 0.25);
-  EXPECT_EQ(clock.now(), manual_clock.now());
-  expect_logs_equal(tracer.timelog(), manual.timelog());
-}
-
-TEST(Engine, OverlapGraphRunPlacesAgainstDeps) {
+TEST(AsyncLowering, OverlapPlacesAgainstDeps) {
   // Hand-built graph, run in id order: two independent 1s tasks on
   // different lanes plus a task depending on both.  The serial sum is
   // 3s; placement overlaps the independent pair for a 2s makespan.
@@ -246,80 +217,6 @@ TEST(Engine, OverlapGraphRunPlacesAgainstDeps) {
   EXPECT_EQ(async::place_overlap(g, order, 0.0), 3.0);
   EXPECT_EQ(g.tasks[1].start, 1.0);
   EXPECT_EQ(g.tasks[2].start, 2.0);
-}
-
-// --- overlap face: placement and wait charges --------------------------------
-
-TEST(Engine, OverlapPlacesAtMaxOfNowLaneAndDeps) {
-  accel::VirtualClock clock;
-  obs::Tracer tracer(&clock);
-  async::Options opt;
-  opt.mode = async::Mode::kOverlap;
-  async::Engine eng(clock, &tracer, opt);
-  const int a = eng.lane("a");
-  const int b = eng.lane("b");
-
-  const auto f1 = eng.submit(a, "one", "comm", [](double) { return 1.0; });
-  EXPECT_EQ(clock.now(), 0.0);  // submit never advances the clock
-  EXPECT_EQ(f1.ready, 1.0);
-  const auto f2 = eng.submit(a, "two", "comm", [](double) { return 1.0; });
-  EXPECT_EQ(f2.ready, 2.0);  // same lane serializes
-  const auto f3 =
-      eng.submit(b, "three", "comm", [](double) { return 0.5; }, {f2});
-  EXPECT_EQ(f3.ready, 2.5);  // dep-bound, not lane-bound
-  EXPECT_EQ(eng.pending_count(), 3);
-
-  // Awaiting charges the remaining slack as an explicit wait span.
-  EXPECT_EQ(eng.await(f3, "three_wait"), 2.5);
-  EXPECT_EQ(clock.now(), 2.5);
-  EXPECT_EQ(tracer.seconds("three_wait"), 2.5);
-  EXPECT_EQ(eng.pending_count(), 0);
-  EXPECT_EQ(eng.await(f3, "again"), 0.0);  // already resolved: no-op
-}
-
-TEST(Engine, OverlapCostIsAFunctionOfPlacedStartTime) {
-  // The cost callback sees the *placed* start, not submission time: a
-  // task queued behind its lane must price itself at the later epoch.
-  accel::VirtualClock clock;
-  obs::Tracer tracer(&clock);
-  async::Options opt;
-  opt.mode = async::Mode::kOverlap;
-  async::Engine eng(clock, &tracer, opt);
-  const int lane = eng.lane("comm");
-  std::vector<double> starts;
-  const auto cost = [&starts](double start) {
-    starts.push_back(start);
-    return 1.0;
-  };
-  eng.submit(lane, "one", "comm", cost);
-  eng.submit(lane, "two", "comm", cost);
-  ASSERT_EQ(starts.size(), 2u);
-  EXPECT_EQ(starts[0], 0.0);
-  EXPECT_EQ(starts[1], 1.0);
-  EXPECT_EQ(eng.drain("drain"), 2.0);
-  EXPECT_EQ(clock.now(), 2.0);
-}
-
-TEST(Engine, OverlapReplayIsBitwiseDeterministic) {
-  const auto episode = [] {
-    accel::VirtualClock clock;
-    obs::Tracer tracer(&clock);
-    async::Options opt;
-    opt.mode = async::Mode::kOverlap;
-    async::Engine eng(clock, &tracer, opt);
-    const int a = eng.lane("a");
-    const int b = eng.lane("b");
-    async::Future last{};
-    for (int i = 0; i < 8; ++i) {
-      last = eng.submit(i % 2 == 0 ? a : b, "tick", "comm",
-                        [i](double) { return 0.125 * (i + 1); },
-                        last.valid() ? std::vector<async::Future>{last}
-                                     : std::vector<async::Future>{});
-    }
-    eng.drain("drain");
-    return clock.now();
-  };
-  EXPECT_EQ(episode(), episode());
 }
 
 // --- the pipeline post-pass --------------------------------------------------

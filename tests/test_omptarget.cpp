@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace accel = toast::accel;
@@ -18,6 +21,16 @@ struct Fixture {
   accel::VirtualClock clock;
   toast::obs::Tracer tracer{&clock};
   omp::Runtime rt{device, clock, tracer};
+
+  /// The first stream-scheduled span named `name`.
+  const toast::obs::Span& stream_span(const std::string& name) const {
+    for (const auto& s : tracer.spans()) {
+      if (s.name == name && s.stream >= 0) {
+        return s;
+      }
+    }
+    throw std::out_of_range("no stream span " + name);
+  }
 };
 
 }  // namespace
@@ -261,9 +274,12 @@ TEST(OmpTargetAsync, DependsOrdersKernelAfterTransfer) {
   opts.depends = {ev};
   f.rt.target_for("consume", 64, cost, [](std::int64_t) { return true; },
                   opts);
-  const auto& ops = f.rt.scheduler().ops();
-  ASSERT_EQ(ops.size(), 2u);
-  EXPECT_GE(ops[1].start, ops[0].end);
+  const auto& spans = f.tracer.spans();
+  ASSERT_EQ(std::count_if(spans.begin(), spans.end(),
+                          [](const auto& s) { return s.stream >= 0; }),
+            2);
+  const auto& upload = f.stream_span("accel_data_update_device_async");
+  EXPECT_GE(f.stream_span("consume").start, upload.start + upload.duration);
 
   // Without the depend clause the kernel starts immediately.
   Fixture g;
@@ -276,7 +292,7 @@ TEST(OmpTargetAsync, DependsOrdersKernelAfterTransfer) {
   const double dispatched = g.clock.now() + g.rt.dispatch_overhead();
   g.rt.target_for("consume", 64, cost, [](std::int64_t) { return true; },
                   free_opts);
-  EXPECT_DOUBLE_EQ(g.rt.scheduler().ops()[1].start, dispatched);
+  EXPECT_DOUBLE_EQ(g.stream_span("consume").start, dispatched);
 }
 
 TEST(OmpTargetAsync, StreamedPipelineBeatsTheSerialOne) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 namespace accel = toast::accel;
+namespace obs = toast::obs;
 namespace sched = toast::sched;
 
 namespace {
@@ -27,8 +28,14 @@ accel::WorkEstimate kernel(double n) {
 struct Fixture {
   accel::SimDevice device;
   accel::VirtualClock clock;
-  sched::Scheduler sch{device, clock, nullptr, /*n_streams=*/4};
+  obs::Tracer tracer{&clock};
+  sched::Scheduler sch{device, clock, &tracer, /*n_streams=*/4};
+
+  /// Every placed op leaves one span, in placement order.
+  const std::vector<obs::Span>& spans() const { return tracer.spans(); }
 };
+
+double end_of(const obs::Span& s) { return s.start + s.duration; }
 
 }  // namespace
 
@@ -92,8 +99,8 @@ TEST(SchedAsync, StreamsCompleteInOrder) {
   const double end1 = f.sch.launch_async(0, "a", kernel(1e6));
   const double end2 = f.sch.launch_async(0, "b", kernel(1e6));
   EXPECT_GT(end2, end1);
-  ASSERT_EQ(f.sch.ops().size(), 2u);
-  EXPECT_GE(f.sch.ops()[1].start, f.sch.ops()[0].end);
+  ASSERT_EQ(f.spans().size(), 2u);
+  EXPECT_GE(f.spans()[1].start, end_of(f.spans()[0]));
 }
 
 TEST(SchedAsync, TransfersSerializeOnTheLink) {
@@ -102,7 +109,7 @@ TEST(SchedAsync, TransfersSerializeOnTheLink) {
   Fixture f;
   const double end1 = f.sch.transfer_async(0, "h2d_a", 1e8, true);
   f.sch.transfer_async(1, "h2d_b", 1e8, true);
-  EXPECT_DOUBLE_EQ(f.sch.ops()[1].start, end1);
+  EXPECT_DOUBLE_EQ(f.spans()[1].start, end1);
 }
 
 TEST(SchedAsync, TransferOverlapsCompute) {
@@ -111,7 +118,7 @@ TEST(SchedAsync, TransferOverlapsCompute) {
   Fixture f;
   f.sch.launch_async(0, "k", kernel(1e8));
   f.sch.transfer_async(1, "h2d", 1e8, true);
-  EXPECT_DOUBLE_EQ(f.sch.ops()[1].start, 0.0);
+  EXPECT_DOUBLE_EQ(f.spans()[1].start, 0.0);
 }
 
 TEST(SchedAsync, LaunchLatencyPipelinesAcrossStreams) {
@@ -122,7 +129,7 @@ TEST(SchedAsync, LaunchLatencyPipelinesAcrossStreams) {
   f.sch.launch_async(1, "b", w);
   // Kernel bodies serialize on the compute engine; only the launch slice
   // overlaps the first kernel's tail.
-  EXPECT_DOUBLE_EQ(f.sch.ops()[1].start, end1 - lp);
+  EXPECT_DOUBLE_EQ(f.spans()[1].start, end1 - lp);
 }
 
 TEST(SchedAsync, EventsOrderWorkAcrossStreams) {
@@ -132,12 +139,12 @@ TEST(SchedAsync, EventsOrderWorkAcrossStreams) {
   EXPECT_DOUBLE_EQ(f.sch.event_time(ev), t_end);
   // A kernel elsewhere that depends on the upload starts no earlier.
   f.sch.launch_async(1, "consume", kernel(1e6), {ev});
-  EXPECT_GE(f.sch.ops().back().start, t_end);
+  EXPECT_GE(f.spans().back().start, t_end);
   // Without the dependency it would have started immediately.
   Fixture g;
   g.sch.transfer_async(0, "h2d", 1e8, true);
   g.sch.launch_async(1, "consume", kernel(1e6));
-  EXPECT_DOUBLE_EQ(g.sch.ops().back().start, 0.0);
+  EXPECT_DOUBLE_EQ(g.spans().back().start, 0.0);
 }
 
 TEST(SchedAsync, StreamWaitEventBlocksTheWholeStream) {
@@ -146,7 +153,7 @@ TEST(SchedAsync, StreamWaitEventBlocksTheWholeStream) {
   const sched::EventId ev = f.sch.record_event(0);
   f.sch.stream_wait_event(1, ev);
   f.sch.launch_async(1, "k", kernel(1e6));
-  EXPECT_GE(f.sch.ops().back().start, t_end);
+  EXPECT_GE(f.spans().back().start, t_end);
 }
 
 TEST(SchedAsync, SyncStreamWaitsOnlyForThatStream) {

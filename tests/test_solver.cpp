@@ -1,12 +1,18 @@
 // Tests of the destriping map-maker: convergence, cross-backend
-// agreement, and actual removal of injected noise offsets.
+// agreement, actual removal of injected noise offsets, and the overlap
+// comm lane (pinned placements, its own trace stream).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
+#include <set>
+#include <string>
 
+#include "async/lower.hpp"
+#include "fault/fault.hpp"
 #include "kernels/jax.hpp"
+#include "resilience/policy.hpp"
 #include "sim/satellite.hpp"
 #include "sim/workflow.hpp"
 #include "solver/destriper.hpp"
@@ -316,4 +322,143 @@ TEST(Destriper, PriorStabilizesUnhitSteps) {
   for (const double a : result.amplitudes) {
     ASSERT_TRUE(std::isfinite(a));
   }
+}
+
+// --- the overlap comm lane -------------------------------------------------
+
+namespace {
+
+// The solve of the ResilienceElastic tests (tests/test_resilience.cpp):
+// 3-detector scan, 12 CG iterations, 4 ranks on 2 nodes, overlap
+// collectives.
+struct OverlapSolve {
+  double elapsed = 0.0;
+  double wait_s = 0.0;  ///< total "wait" spans, in trace order
+  std::vector<double> allreduce_starts;
+  double requeues = 0.0;
+};
+
+OverlapSolve overlap_solve(const toast::fault::FaultPlan& plan,
+                           const toast::resilience::Policy& policy) {
+  const auto fp = sim::hex_focalplane(3, 37.0, 10.0, 50e-6);
+  sim::ScanParams scan;
+  scan.spin_period = 60.0;
+  core::ExecConfig ec;
+  ec.fault_plan = plan;
+  ec.resilience_policy = policy;
+  core::ExecContext ctx(ec);
+  sim::WorkflowConfig wf;
+  wf.nside = 16;
+  core::Data data;
+  data.observations.push_back(
+      sim::simulate_satellite("elastic", fp, 4096, scan, 11));
+  sim::make_scan_pipeline(wf).exec(data, ctx);
+
+  DestriperConfig dc;
+  dc.nside = 16;
+  dc.step_length = 128;
+  dc.max_iterations = 12;
+  dc.tolerance = 0.0;
+  dc.checkpoint_interval = 4;
+  dc.comm_ranks = 4;
+  dc.comm_ranks_per_node = 2;
+  dc.async_comm = toast::config::SolverComm::kOverlap;
+  Destriper(dc).solve(data.observations[0], ctx, Backend::kCpu);
+
+  OverlapSolve out;
+  out.elapsed = ctx.elapsed();
+  for (const auto& s : ctx.tracer().spans()) {
+    if (s.category == "wait") {
+      out.wait_s += s.duration;
+    }
+    if (s.name.rfind("destriper_allreduce_", 0) == 0) {
+      out.allreduce_starts.push_back(s.start);
+    }
+  }
+  const auto counters = ctx.resilience().counters();
+  const auto it = counters.find("resilience_task_requeues");
+  out.requeues = it == counters.end() ? 0.0 : it->second;
+  return out;
+}
+
+double sum(const std::vector<double>& v) {
+  double acc = 0.0;
+  for (const double x : v) acc += x;
+  return acc;
+}
+
+}  // namespace
+
+TEST(Destriper, OverlapSolvesArePinned) {
+  // Clean and requeue-chaos overlap solves, pinned bitwise: the clock,
+  // the charged slack and every allreduce placement (count, first, last
+  // and their in-order sum).
+  const OverlapSolve clean = overlap_solve({}, {});
+  toast::fault::FaultPlan plan;
+  plan.seed = 2026;
+  plan.retry.max_attempts = 1;
+  plan.rules = {toast::fault::FaultRule{toast::fault::FaultKind::kRankFailure,
+                                        "destriper_cg", 0.6, 5}};
+  toast::resilience::Policy policy;
+  policy.elastic.enabled = true;
+  policy.elastic.min_ranks = 2;
+  policy.elastic.rebuild_seconds = 1e-3;
+  policy.elastic.requeue = true;
+  const OverlapSolve chaos = overlap_solve(plan, policy);
+  EXPECT_EQ(clean.elapsed, 0x1.d5cea1b30bd97p-9);
+  EXPECT_EQ(clean.wait_s, 0x1.1b30b711851cp-15);
+  ASSERT_EQ(clean.allreduce_starts.size(), 51u);
+  EXPECT_EQ(clean.allreduce_starts.front(), 0x1.a8aa59269e28ap-11);
+  EXPECT_EQ(clean.allreduce_starts.back(), 0x1.d43bf65c72d0fp-9);
+  EXPECT_EQ(sum(clean.allreduce_starts), 0x1.d2efa985959cap-4);
+  EXPECT_EQ(clean.requeues, 0.0);
+
+  EXPECT_EQ(chaos.elapsed, 0x1.7a4bc476c32eep-8);
+  EXPECT_EQ(chaos.wait_s, 0x1.ad8a286bbcp-21);
+  ASSERT_EQ(chaos.allreduce_starts.size(), 55u);
+  EXPECT_EQ(chaos.allreduce_starts.front(), 0x1.a8aa59269e28ap-11);
+  EXPECT_EQ(chaos.allreduce_starts.back(), 0x1.7a3e58257fd1p-8);
+  EXPECT_EQ(sum(chaos.allreduce_starts), 0x1.cc0a35a9ff886p-3);
+  EXPECT_GT(chaos.requeues, 0.0);
+}
+
+TEST(Destriper, CommLaneHasItsOwnTraceStream) {
+  // A pipeline post-pass and a destriper solve on one context: the
+  // post-pass names its four lanes, the solve names the comm lane, and
+  // no stream id may carry two lanes' spans under one name.
+  core::ExecConfig ec;
+  core::ExecContext ctx(ec);
+  sim::WorkflowConfig wf;
+  wf.nside = 16;
+  core::Data data;
+  data.observations.push_back(sim::simulate_satellite(
+      "lanes", sim::hex_focalplane(4, 37.0), 1024, sim::ScanParams{}, 7));
+  auto pipeline = sim::make_benchmark_pipeline(wf);
+  toast::async::run_plan_async(pipeline, data.observations[0], ctx,
+                               pipeline.plan_stats(),
+                               {toast::async::Mode::kOverlap});
+
+  auto sc = make_scenario(33);
+  sc.cfg.comm_ranks = 4;
+  sc.cfg.comm_ranks_per_node = 2;
+  sc.cfg.async_comm = toast::config::SolverComm::kOverlap;
+  Destriper(sc.cfg).solve(sc.ob, ctx, Backend::kCpu);
+
+  const auto& names = ctx.tracer().stream_names();
+  std::set<std::string> distinct;
+  for (const auto& [stream, name] : names) {
+    EXPECT_TRUE(distinct.insert(name).second)
+        << "stream " << stream << " reuses the name " << name;
+  }
+  EXPECT_EQ(names.at(toast::async::kLaneBase + toast::async::kLaneHost),
+            "async:host");
+  int allreduces = 0;
+  for (const auto& s : ctx.tracer().spans()) {
+    if (s.name.rfind("destriper_allreduce_", 0) == 0) {
+      ++allreduces;
+      ASSERT_TRUE(names.count(s.stream) == 1) << s.name;
+      EXPECT_EQ(names.at(s.stream), "async:comm") << s.name;
+    }
+  }
+  EXPECT_GT(allreduces, 0);
 }
